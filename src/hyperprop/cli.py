@@ -19,6 +19,7 @@ cell was degenerate.
 from __future__ import annotations
 
 import argparse
+import csv
 import statistics
 import sys
 import time
@@ -30,8 +31,7 @@ from .errors import HyperpropError
 from .evaluation import TaskSpec, run_classification, run_retrieval
 from .hypergraph import random_hypergraph
 from .io import (canonical_json_bytes, load_dataset, load_incidence,
-                 load_signal, write_report, write_signal, _label_rows,
-                 _class_order)
+                 load_signal, read_labels, write_report, write_signal)
 from .naive_bayes import fit_naive_bayes, naive_bayes_log_odds
 from .propagation import VARIANTS, PropagationConfig, propagate
 
@@ -106,13 +106,9 @@ def cmd_propagate(args) -> int:
     if args.signal is not None:
         ids, values = load_signal(args.signal)
     elif args.labels is not None:
-        rows = _label_rows(args.labels)
-        ids = [node_id for node_id, _ in rows]
-        classes = _class_order([label for _, label in rows])
-        index = {name: i for i, name in enumerate(classes)}
-        values = np.zeros((len(ids), len(classes)))
-        for i, (_, label) in enumerate(rows):
-            values[i, index[label]] = 1.0
+        ids, classes, class_names = read_labels(args.labels)
+        values = np.zeros((len(ids), len(class_names)))
+        values[np.arange(len(ids)), classes] = 1.0
     else:
         print("error: propagate needs --signal or --labels", file=sys.stderr)
         return 2
@@ -221,9 +217,8 @@ def cmd_bench(args) -> int:
             with open(args.output, "wb") as fh:
                 fh.write(canonical_json_bytes(doc))
         else:
-            import csv as _csv
             with open(args.output, "w", encoding="utf-8", newline="") as fh:
-                writer = _csv.writer(fh)
+                writer = csv.writer(fh)
                 writer.writerow(["cell", "rep", "micros"])
                 for cell in cells:
                     for rep, us in enumerate(cell["micros"]):

@@ -150,29 +150,28 @@ class MetricReport:
     cells: tuple
     skipped: tuple = field(default_factory=tuple)
 
+    def _class_means(self, attr: str) -> dict:
+        """Mean of one cell attribute per class, in class-id order."""
+        groups: dict[int, list] = {}
+        for cell in self.cells:
+            groups.setdefault(cell.class_id, []).append(getattr(cell, attr))
+        return {c: sum(v) / len(v) for c, v in sorted(groups.items())}
+
+    def _two_stage_mean(self, attr: str):
+        by_class = self._class_means(attr)
+        return sum(by_class.values()) / len(by_class) if by_class else None
+
     def per_class_mean(self) -> dict:
         """Mean metric per class over its non-skipped folds."""
-        sums: dict[int, list] = {}
-        for cell in self.cells:
-            sums.setdefault(cell.class_id, []).append(cell.value)
-        return {c: sum(v) / len(v) for c, v in sorted(sums.items())}
+        return self._class_means("value")
 
     def mean(self):
         """Mean over classes of the per-class fold means; None if no cells."""
-        by_class = self.per_class_mean()
-        if not by_class:
-            return None
-        return sum(by_class.values()) / len(by_class)
+        return self._two_stage_mean("value")
 
     def mean_micros(self):
         """Two-stage mean of per-cell wall times, mirroring :meth:`mean`."""
-        sums: dict[int, list] = {}
-        for cell in self.cells:
-            sums.setdefault(cell.class_id, []).append(cell.micros)
-        if not sums:
-            return None
-        per_class = [sum(v) / len(v) for v in sums.values()]
-        return sum(per_class) / len(per_class)
+        return self._two_stage_mean("micros")
 
     def class_name(self, class_id: int) -> str:
         if self.class_names and 0 <= class_id < len(self.class_names):

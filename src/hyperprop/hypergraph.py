@@ -1,21 +1,23 @@
-"""Immutable hypergraph structure backed by dual compressed adjacency.
+"""Immutable hypergraph structure stored as two CSR incidence matrices.
 
 A hypergraph is a set of nodes plus a family of hyperedges, each hyperedge
 an arbitrary nonempty subset of nodes.  The structure is equivalent to a
 binary incidence matrix ``H`` of shape ``(n_nodes, n_edges)`` with
-``H[i, j] = 1`` iff node ``i`` belongs to hyperedge ``j``.  Both views of
-that matrix are stored in CSR form: node -> incident edges (row view) and
-hyperedge -> member nodes (column view), so either direction of traversal
-is contiguous.
+``H[i, j] = 1`` iff node ``i`` belongs to hyperedge ``j``.  A
+:class:`Hypergraph` stores exactly ``H`` and ``H^T`` as scipy CSR
+matrices: node -> incident edges (rows of ``H``) and hyperedge -> member
+nodes (rows of ``H^T``), so either direction of traversal is contiguous.
+The two matrices share one float64 buffer of ones as their values, and
+their index arrays use the dtype scipy picks, int32 whenever the sizes
+fit.
 
-Instances are deeply immutable (all arrays are read-only) and safe to
-share across threads.
+Instances are deeply immutable (attributes cannot be rebound and every
+array, values included, is read-only) and safe to share across threads.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
 from typing import Hashable, Iterable
 
 import numpy as np
@@ -76,18 +78,25 @@ class IdMaps:
     edge_ids: IdMap
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True, eq=False, init=False)
 class Hypergraph:
-    """Dual-CSR hypergraph.
+    """Hypergraph stored as its incidence matrix and that matrix's transpose.
 
     Parameters
     ----------
-    node_ptr, node_adj : ndarray of int64
+    node_ptr, node_adj : 1-D integer arrays
         CSR layout of the node -> edge view. ``node_adj[node_ptr[i]:
         node_ptr[i+1]]`` are the hyperedges incident to node ``i``, strictly
         increasing.
-    edge_ptr, edge_adj : ndarray of int64
+    edge_ptr, edge_adj : 1-D integer arrays
         CSR layout of the hyperedge -> node view, same convention.
+
+    The only storage is two scipy CSR matrices built from the validated
+    arrays, :attr:`node_edge_matrix` (``H``) and :attr:`edge_node_matrix`
+    (``H^T``), sharing one float64 buffer of ones as values.  The four
+    array attributes read their ``indptr``/``indices`` back, in the index
+    dtype scipy picks (int32 when the sizes fit).  Integer arrays are
+    taken over, not copied, and made read-only.
 
     Incidence is binary: a given (node, edge) pair is stored at most once.
     Every hyperedge has at least one member node; isolated nodes (degree 0)
@@ -95,51 +104,76 @@ class Hypergraph:
     directly from arrays.
     """
 
-    node_ptr: np.ndarray
-    node_adj: np.ndarray
-    edge_ptr: np.ndarray
-    edge_adj: np.ndarray
+    node_edge_matrix: sp.csr_matrix
+    edge_node_matrix: sp.csr_matrix
 
-    def __post_init__(self):
-        for name in ("node_ptr", "node_adj", "edge_ptr", "edge_adj"):
-            arr = np.ascontiguousarray(getattr(self, name), dtype=np.int64)
-            arr.setflags(write=False)
-            object.__setattr__(self, name, arr)
-        _check_csr(self.node_ptr, self.node_adj, self.n_edges, "node")
-        _check_csr(self.edge_ptr, self.edge_adj, self.n_nodes, "edge")
-        if self.node_adj.size != self.edge_adj.size:
+    def __init__(self, node_ptr, node_adj, edge_ptr, edge_adj):
+        arrays = [np.asarray(a) for a in (node_ptr, node_adj, edge_ptr, edge_adj)]
+        node_ptr, node_adj, edge_ptr, edge_adj = (
+            a if a.dtype.kind == "i" else a.astype(np.int64) for a in arrays)
+        n_nodes, n_edges = node_ptr.size - 1, edge_ptr.size - 1
+        _check_csr(node_ptr, node_adj, n_edges, "node")
+        _check_csr(edge_ptr, edge_adj, n_nodes, "edge")
+        if node_adj.size != edge_adj.size:
             raise ValueError("node and edge views disagree on incidence count")
-        if self.n_edges and np.diff(self.edge_ptr).min() < 1:
+        if n_edges and np.diff(edge_ptr).min() < 1:
             raise ValueError("empty hyperedges are not allowed")
+        ones = _read_only(np.ones(node_adj.size))
+        for name, matrix in (
+                ("node_edge_matrix", sp.csr_matrix(
+                    (ones, node_adj, node_ptr), shape=(n_nodes, n_edges))),
+                ("edge_node_matrix", sp.csr_matrix(
+                    (ones, edge_adj, edge_ptr), shape=(n_edges, n_nodes)))):
+            for arr in (matrix.data, matrix.indices, matrix.indptr):
+                arr.setflags(write=False)
+            object.__setattr__(self, name, matrix)
+
+    # -- storage views ----------------------------------------------------
+
+    @property
+    def node_ptr(self) -> np.ndarray:
+        """Row offsets of ``H``: node ``i``'s edges start at ``node_ptr[i]``."""
+        return self.node_edge_matrix.indptr
+
+    @property
+    def node_adj(self) -> np.ndarray:
+        """Hyperedge indices of ``H``, node by node."""
+        return self.node_edge_matrix.indices
+
+    @property
+    def edge_ptr(self) -> np.ndarray:
+        """Row offsets of ``H^T``: edge ``j``'s members start at ``edge_ptr[j]``."""
+        return self.edge_node_matrix.indptr
+
+    @property
+    def edge_adj(self) -> np.ndarray:
+        """Node indices of ``H^T``, hyperedge by hyperedge."""
+        return self.edge_node_matrix.indices
 
     # -- sizes ------------------------------------------------------------
 
     @property
     def n_nodes(self) -> int:
-        return self.node_ptr.size - 1
+        return self.node_edge_matrix.shape[0]
 
     @property
     def n_edges(self) -> int:
-        return self.edge_ptr.size - 1
+        return self.node_edge_matrix.shape[1]
 
     @property
     def nnz(self) -> int:
         """Number of (node, edge) incidences; equals both degree sums."""
         return self.node_adj.size
 
-    @cached_property
+    @property
     def node_degree(self) -> np.ndarray:
         """Number of hyperedges incident to each node (diagonal of D)."""
-        deg = np.diff(self.node_ptr)
-        deg.setflags(write=False)
-        return deg
+        return _read_only(np.diff(self.node_ptr))
 
-    @cached_property
+    @property
     def edge_degree(self) -> np.ndarray:
         """Number of member nodes of each hyperedge (diagonal of B)."""
-        deg = np.diff(self.edge_ptr)
-        deg.setflags(write=False)
-        return deg
+        return _read_only(np.diff(self.edge_ptr))
 
     # -- traversal --------------------------------------------------------
 
@@ -151,29 +185,14 @@ class Hypergraph:
         """Sorted member node indices of ``edge`` (read-only view)."""
         return self.edge_adj[self.edge_ptr[edge]:self.edge_ptr[edge + 1]]
 
-    # -- sparse-matrix views (shared by the propagation engine) -----------
-
-    @cached_property
-    def node_edge_matrix(self) -> sp.csr_matrix:
-        """Incidence matrix H as ``(n_nodes, n_edges)`` CSR."""
-        data = np.ones(self.nnz, dtype=np.float64)
-        return sp.csr_matrix(
-            (data, self.node_adj, self.node_ptr),
-            shape=(self.n_nodes, self.n_edges),
-        )
-
-    @cached_property
-    def edge_node_matrix(self) -> sp.csr_matrix:
-        """Transposed incidence H^T as ``(n_edges, n_nodes)`` CSR."""
-        data = np.ones(self.nnz, dtype=np.float64)
-        return sp.csr_matrix(
-            (data, self.edge_adj, self.edge_ptr),
-            shape=(self.n_edges, self.n_nodes),
-        )
-
     def __repr__(self) -> str:
         return (f"Hypergraph(n_nodes={self.n_nodes}, n_edges={self.n_edges}, "
                 f"nnz={self.nnz})")
+
+
+def _read_only(arr: np.ndarray) -> np.ndarray:
+    arr.setflags(write=False)
+    return arr
 
 
 def _check_csr(ptr, adj, n_cols, what):
@@ -193,24 +212,15 @@ def _check_csr(ptr, adj, n_cols, what):
 
 
 def _structure_from_indices(nodes, edges, n_nodes, n_edges) -> Hypergraph:
-    """Build both CSR views from parallel (node, edge) index arrays.
+    """Build a Hypergraph from parallel (node, edge) index arrays.
 
     Duplicate pairs collapse (incidence is binary).
     """
-    nodes = np.asarray(nodes, dtype=np.int64)
-    edges = np.asarray(edges, dtype=np.int64)
-    keys = np.unique(nodes * n_edges + edges)
-
-    row_nodes, row_edges = keys // n_edges, keys % n_edges
-    node_ptr = np.zeros(n_nodes + 1, dtype=np.int64)
-    np.cumsum(np.bincount(row_nodes, minlength=n_nodes), out=node_ptr[1:])
-
-    order = np.argsort(row_edges * n_nodes + row_nodes, kind="stable")
-    col_edges, col_nodes = row_edges[order], row_nodes[order]
-    edge_ptr = np.zeros(n_edges + 1, dtype=np.int64)
-    np.cumsum(np.bincount(col_edges, minlength=n_edges), out=edge_ptr[1:])
-
-    return Hypergraph(node_ptr, row_edges, edge_ptr, col_nodes)
+    h = sp.csr_matrix((np.ones(len(nodes)), (nodes, edges)),
+                      shape=(n_nodes, n_edges))
+    h.sum_duplicates()
+    ht = h.T.tocsr()
+    return Hypergraph(h.indptr, h.indices, ht.indptr, ht.indices)
 
 
 def build_hypergraph(

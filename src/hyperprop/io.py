@@ -96,31 +96,32 @@ def load_incidence(path, node_universe=None) -> tuple[Hypergraph, IdMaps]:
     return build_hypergraph(pairs, node_universe=node_universe)
 
 
-def _class_order(raw_labels):
-    """Dense class ids for raw label strings: numeric sort when every
-    label parses as an integer, lexicographic otherwise."""
-    unique = sorted(set(raw_labels))
+def read_labels(path):
+    """Parse a ``nodeId,label`` file once.
+
+    Returns ``(node_ids, labels, class_names)``: the labeled node ids in
+    first-appearance order, their dense class ids as an int array aligned
+    with ``node_ids``, and the label value of each class id.  Class ids
+    follow a numeric sort when every label parses as an integer, a
+    lexicographic one otherwise.  A repeated row is ignored; a node
+    labeled twice with different values raises :class:`ParseError`.
+    """
+    seen: dict[str, str] = {}
+    for node_id, label in _read_pairs(path, ("nodeId", "label")):
+        first = seen.setdefault(node_id, label)
+        if first != label:
+            raise ParseError(
+                f"{path}: node {node_id!r} labeled both "
+                f"{first!r} and {label!r}")
+    class_names = sorted(set(seen.values()))
     try:
-        unique.sort(key=int)
+        class_names.sort(key=int)
     except ValueError:
         pass
-    return unique
-
-
-def _label_rows(path):
-    rows = _read_pairs(path, ("nodeId", "label"))
-    seen: dict[str, str] = {}
-    ordered = []
-    for node_id, label in rows:
-        if node_id in seen:
-            if seen[node_id] != label:
-                raise ParseError(
-                    f"{path}: node {node_id!r} labeled both "
-                    f"{seen[node_id]!r} and {label!r}")
-            continue
-        seen[node_id] = label
-        ordered.append((node_id, label))
-    return ordered
+    class_id = {name: i for i, name in enumerate(class_names)}
+    labels = np.array([class_id[label] for label in seen.values()],
+                      dtype=np.int64)
+    return list(seen), labels, tuple(class_names)
 
 
 def load_labels(path, id_maps: IdMaps):
@@ -131,20 +132,17 @@ def load_labels(path, id_maps: IdMaps):
     is an int array over dense node indices and ``class_names`` maps the
     dense class ids back to the original label values.
     """
-    rows = _label_rows(path)
-    class_names = _class_order([label for _, label in rows])
-    class_id = {name: i for i, name in enumerate(class_names)}
-    n = len(id_maps.node_ids)
-    labels = np.full(n, -1, dtype=np.int64)
-    for node_id, label in rows:
+    node_ids, classes, class_names = read_labels(path)
+    labels = np.full(len(id_maps.node_ids), -1, dtype=np.int64)
+    for node_id, c in zip(node_ids, classes):
         if node_id not in id_maps.node_ids:
             raise UnknownNodeError(
                 f"{path}: label for unknown node {node_id!r}")
-        labels[id_maps.node_ids.index_of(node_id)] = class_id[label]
+        labels[id_maps.node_ids.index_of(node_id)] = c
     if (labels < 0).any():
         missing = id_maps.node_ids.id_of(int(np.argmin(labels)))
         raise MissingLabelError(f"node {missing!r} has no label in {path}")
-    return labels, tuple(class_names)
+    return labels, class_names
 
 
 def load_dataset(incidence_path, labels_path, name=None) -> DatasetBundle:
@@ -152,11 +150,14 @@ def load_dataset(incidence_path, labels_path, name=None) -> DatasetBundle:
 
     Nodes that appear only in the incidence file would be unlabeled and
     are therefore rejected; nodes that carry a label but never occur in an
-    incidence pair become isolated (degree 0) nodes.
+    incidence pair become isolated (degree 0) nodes.  Labeled nodes take
+    the leading indices in label-file order, so one parse aligns them.
     """
-    universe = [node_id for node_id, _ in _label_rows(labels_path)]
+    universe, labels, class_names = read_labels(labels_path)
     h, maps = load_incidence(incidence_path, node_universe=universe)
-    labels, class_names = load_labels(labels_path, maps)
+    if h.n_nodes > len(universe):  # first incidence-only node is unlabeled
+        missing = maps.node_ids.id_of(len(universe))
+        raise MissingLabelError(f"node {missing!r} has no label in {labels_path}")
     if name is None:
         name = Path(incidence_path).stem
     return DatasetBundle(name=str(name), hypergraph=h, id_maps=maps,

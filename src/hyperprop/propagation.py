@@ -32,7 +32,7 @@ All functions are pure; inputs are never modified.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -92,6 +92,16 @@ def _as_signal(values, n_rows: int, side: str):
     return arr, was_1d
 
 
+# variant -> (power of D^-1 applied after the kernel, power of D^-1
+# applied before it, whether the alpha residual blend follows)
+_LAYER_SHAPES = {
+    "row": (1.0, None, False),
+    "column": (None, 1.0, False),
+    "symmetric": (0.5, 0.5, False),
+    "alpha": (1.0, None, True),
+}
+
+
 def _inv_node_degree(h: Hypergraph, power: float = 1.0) -> np.ndarray:
     """``deg(u)^-power`` with the 1/0 := 0 convention, as a column."""
     deg = h.node_degree.astype(np.float64)
@@ -104,30 +114,6 @@ def _edge_mean(h: Hypergraph, x2: np.ndarray) -> np.ndarray:
     r = h.edge_node_matrix @ x2
     r /= h.edge_degree[:, None]
     return r
-
-
-def _apply_layer(h, x2, cfg, out_scale, in_scale):
-    """One layer on a validated (n, d) array; scales are precomputed."""
-    if cfg.variant == "row":
-        return out_scale * (h.node_edge_matrix @ _edge_mean(h, x2))
-    if cfg.variant == "column":
-        return h.node_edge_matrix @ _edge_mean(h, in_scale * x2)
-    if cfg.variant == "symmetric":
-        return out_scale * (h.node_edge_matrix @ _edge_mean(h, in_scale * x2))
-    # alpha: blend of the row-variant kernel with the previous signal
-    a = float(cfg.alpha)
-    smoothed = out_scale * (h.node_edge_matrix @ _edge_mean(h, x2))
-    return 2.0 * a * smoothed + (1.0 - 2.0 * a) * x2
-
-
-def _layer_scales(h, cfg):
-    """(output scale, input scale) column vectors for a variant."""
-    if cfg.variant in ("row", "alpha"):
-        return _inv_node_degree(h), None
-    if cfg.variant == "column":
-        return None, _inv_node_degree(h)
-    half = _inv_node_degree(h, power=0.5)
-    return half, half
 
 
 def edge_average(h: Hypergraph, x) -> np.ndarray:
@@ -174,22 +160,29 @@ def propagate_layer(h: Hypergraph, x, config: PropagationConfig | None = None) -
     ``config.layers`` is ignored here -- use :func:`propagate` for
     multi-layer runs.
     """
-    config = config or PropagationConfig()
-    x2, was_1d = _as_signal(x, h.n_nodes, "node")
-    out_scale, in_scale = _layer_scales(h, config)
-    out = _apply_layer(h, x2, config, out_scale, in_scale)
-    return out[:, 0] if was_1d else out
+    return propagate(h, x, replace(config or PropagationConfig(), layers=1))
 
 
 def propagate(h: Hypergraph, x, config: PropagationConfig) -> np.ndarray:
     """Apply ``config.layers`` propagation layers to an initial signal.
 
-    Returns the final signal only; intermediates are not retained.
+    Every variant runs the same layer; a per-variant table says which
+    degree scales and residual it applies.  Returns the final signal
+    only; intermediates are not retained.
     """
     x2, was_1d = _as_signal(x, h.n_nodes, "node")
-    out_scale, in_scale = _layer_scales(h, config)
+    out_power, in_power, residual = _LAYER_SHAPES[config.variant]
+    out_scale = None if out_power is None else _inv_node_degree(h, out_power)
+    in_scale = None if in_power is None else _inv_node_degree(h, in_power)
     for _ in range(config.layers):
-        x2 = _apply_layer(h, x2, config, out_scale, in_scale)
+        out = h.node_edge_matrix @ _edge_mean(
+            h, x2 if in_scale is None else in_scale * x2)
+        if out_scale is not None:
+            out = out_scale * out
+        if residual:
+            a = float(config.alpha)
+            out = 2.0 * a * out + (1.0 - 2.0 * a) * x2
+        x2 = out
     return x2[:, 0] if was_1d else x2
 
 

@@ -72,6 +72,19 @@ class TestPropagate:
         assert values.shape == (20, 2)  # one column per class
         np.testing.assert_allclose(values.sum(axis=1), 1.0)
 
+    def test_label_signal_keeps_unlabeled_and_label_only_nodes(
+            self, chain_incidence, tmp_path):
+        labels = tmp_path / "labels.csv"
+        labels.write_text("nodeId,label\nu1,art\nu2,bio\nz,art\n")
+        out = tmp_path / "out.csv"
+        assert main(["propagate", "--incidence", str(chain_incidence),
+                     "--labels", str(labels), "--output", str(out)]) == 0
+        ids, values = load_signal(out)
+        # u3 is in the incidence file only and starts from a zero row
+        assert ids == ["u1", "u2", "z", "u3"]
+        np.testing.assert_allclose(
+            values, [[0.5, 0.5], [0.25, 0.5], [0.0, 0.0], [0.0, 0.5]])
+
     def test_zero_layers_rejected(self, chain_incidence, tmp_path, capsys):
         signal = tmp_path / "signal.csv"
         signal.write_text("nodeId,value\nu1,1\nu2,0\nu3,0\n")

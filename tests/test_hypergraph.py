@@ -53,10 +53,22 @@ class TestBuild:
 
     def test_arrays_immutable(self):
         h, _ = build_hypergraph(PAIRS)
-        for arr in (h.node_ptr, h.node_adj, h.edge_ptr, h.edge_adj,
-                    h.node_degree, h.edge_degree):
+        arrays = [h.node_ptr, h.node_adj, h.edge_ptr, h.edge_adj,
+                  h.node_degree, h.edge_degree]
+        for matrix in (h.node_edge_matrix, h.edge_node_matrix):
+            arrays += [matrix.data, matrix.indices, matrix.indptr]
+        for arr in arrays:
             with pytest.raises(ValueError):
                 arr[0] = 99
+        with pytest.raises(AttributeError):
+            h.node_edge_matrix = None
+
+    def test_adjacency_is_the_matrix_storage(self):
+        h, _ = build_hypergraph(PAIRS)
+        assert np.shares_memory(h.node_adj, h.node_edge_matrix.indices)
+        assert np.shares_memory(h.edge_adj, h.edge_node_matrix.indices)
+        assert np.shares_memory(h.node_edge_matrix.data,
+                                h.edge_node_matrix.data)
 
 
 class TestIdMap:

@@ -131,6 +131,18 @@ class TestLoadDataset:
         assert stats["n_classes"] == 2
         assert stats["mean_node_degree"] == pytest.approx(1.0)
 
+    def test_incidence_only_node_rejected(self, incidence_file, tmp_path):
+        path = tmp_path / "partial.csv"
+        path.write_text("nodeId,label\na,art\nb,bio\n")
+        with pytest.raises(MissingLabelError, match="node 'c' has no label"):
+            load_dataset(incidence_file, path)
+
+    def test_conflicting_labels_rejected(self, incidence_file, tmp_path):
+        path = tmp_path / "conflict.csv"
+        path.write_text(LABELS + "a,bio\n")
+        with pytest.raises(ParseError, match="labeled both 'art' and 'bio'"):
+            load_dataset(incidence_file, path)
+
     def test_check_stats_warns_but_does_not_raise(self, incidence_file,
                                                   labels_file):
         bundle = load_dataset(incidence_file, labels_file)

@@ -4,7 +4,7 @@ import pytest
 from hyperprop import (InvalidConfigError, PropagationConfig, ShapeError,
                        SizeGuardError, build_hypergraph, dense_kernel,
                        dense_propagate_layer, edge_average, node_average,
-                       propagate, propagate_layer)
+                       propagate, propagate_layer, random_hypergraph)
 
 import oracles
 from util import bernoulli_hypergraph, ordinary_graph, random_signal
@@ -212,6 +212,43 @@ class TestDenseEquivalence:
             dense_propagate_layer(h, np.zeros(2000))
         with pytest.raises(SizeGuardError):
             dense_kernel(h)
+
+
+def composed_layer(h, x, cfg):
+    """One layer as the plain per-variant product chain, in the engine's
+    order of operations, so the sparse result must match it bit for bit."""
+    H, Ht = h.node_edge_matrix, h.edge_node_matrix
+    deg = h.node_degree.astype(np.float64)
+    inv_d, half = np.zeros_like(deg), np.zeros_like(deg)
+    np.divide(1.0, deg, out=inv_d, where=deg > 0)
+    np.divide(1.0, deg ** 0.5, out=half, where=deg > 0)
+    inv_d, half = inv_d[:, None], half[:, None]
+    b = h.edge_degree[:, None]
+    if cfg.variant == "row":
+        return inv_d * (H @ ((Ht @ x) / b))
+    if cfg.variant == "column":
+        return H @ ((Ht @ (inv_d * x)) / b)
+    if cfg.variant == "symmetric":
+        return half * (H @ ((Ht @ (half * x)) / b))
+    a = cfg.alpha
+    return 2.0 * a * (inv_d * (H @ ((Ht @ x) / b))) + (1.0 - 2.0 * a) * x
+
+
+class TestBitwiseComposition:
+    @pytest.mark.parametrize("layers", [1, 2, 3])
+    @pytest.mark.parametrize("variant", ["row", "column", "symmetric", "alpha"])
+    def test_propagate_equals_composition_exactly(self, variant, layers):
+        cfg = PropagationConfig(variant=variant, layers=layers,
+                                alpha=0.3 if variant == "alpha" else None)
+        rng = np.random.default_rng(layers)
+        graphs = [random_hypergraph(300, 60, 1500, seed=s) for s in range(3)]
+        graphs += [bernoulli_hypergraph(rng) for _ in range(10)]
+        for h in graphs:
+            x = random_signal(rng, h.n_nodes)
+            expected = x
+            for _ in range(layers):
+                expected = composed_layer(h, expected, cfg)
+            assert np.array_equal(propagate(h, x, cfg), expected)
 
 
 class TestConfig:
