@@ -54,7 +54,7 @@ def _add_eval_flags(parser):
     parser.add_argument("--folds", type=int, default=10)
     parser.add_argument("--seed", type=int, default=42)
     parser.add_argument("--jobs", type=int, default=1,
-                        help="max parallel (class, fold) workers")
+                        help="max parallel (fold, class block) workers")
     parser.add_argument("--output", default=None)
     parser.add_argument("--format", choices=("json", "csv"), default="json")
 

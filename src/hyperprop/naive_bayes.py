@@ -7,6 +7,11 @@ labeled training set with additive (Laplace) smoothing, and nodes are
 scored by the log-posterior-odds of the positive class.  Log-odds rather
 than probabilities keeps the score stable for nodes with hundreds of
 incident edges.
+
+Several binary models over one hypergraph can be fitted and scored as a
+batch, one per column of a label matrix, the way :func:`propagate`
+treats the columns of a signal; each column's model is the one its
+labels would fit alone.
 """
 
 from __future__ import annotations
@@ -21,11 +26,13 @@ from .hypergraph import Hypergraph
 
 @dataclass(frozen=True, eq=False)
 class NaiveBayesModel:
-    """Fitted binary multinomial model.
+    """Fitted binary multinomial model, or a batch of ``d`` of them.
 
     ``class_log_prior`` has shape (2,) and ``feature_log_likelihood``
     shape (2, n_edges); row ``c`` exponentiates to a distribution over
-    hyperedge features given class ``c``.  Immutable once fitted.
+    hyperedge features given class ``c``.  A batch appends a trailing
+    axis of length ``d`` to both, one model per column.  Immutable once
+    fitted.
     """
 
     class_log_prior: np.ndarray
@@ -52,41 +59,55 @@ def fit_naive_bayes(h: Hypergraph, train_nodes, train_labels,
     h : Hypergraph
     train_nodes : int array
         Node indices of the training set.
-    train_labels : array of 0/1
-        Binary label per training node, aligned with ``train_nodes``.
+    train_labels : array of 0/1, or 2-D array of -1/0/1
+        Binary label per training node, aligned with ``train_nodes``.  A
+        2-D array of shape ``(len(train_nodes), d)`` fits a batch of
+        ``d`` models, one per column; ``-1`` leaves a node out of that
+        column's training set.
     smoothing : float, >= 0
         Additive smoothing constant applied per feature (default 1.0).
 
     Raises
     ------
     MissingClassError
-        If either class has no training node.
+        If either class has no training node (in any column).
     """
     train_nodes = np.asarray(train_nodes, dtype=np.int64)
-    train_labels = np.asarray(train_labels, dtype=np.int64)
-    if train_nodes.ndim != 1 or train_nodes.shape != train_labels.shape:
-        raise ShapeError("train_nodes and train_labels must be equal-length 1-D")
+    train_labels = np.asarray(train_labels)
+    if (train_nodes.ndim != 1 or train_labels.ndim not in (1, 2)
+            or train_labels.shape[0] != train_nodes.size):
+        raise ShapeError("train_labels must be 1-D or 2-D with one row per "
+                         "entry of the 1-D train_nodes")
     if train_nodes.size == 0:
         raise MissingClassError("training set is empty")
-    if not np.isin(train_labels, (0, 1)).all():
-        raise ValueError("train_labels must be binary (0/1)")
+    allowed = (train_labels == 0) | (train_labels == 1)
+    if train_labels.ndim == 2:
+        allowed |= train_labels == -1
+    if not allowed.all():
+        raise ValueError("train_labels must be binary (0/1), or -1/0/1 "
+                         "when 2-D")
     if smoothing < 0:
         raise ValueError("smoothing must be >= 0")
 
-    counts = np.empty((2, h.n_edges))
-    class_sizes = np.empty(2)
+    columns = train_labels.reshape(train_nodes.size, -1)
+    # edge x training-entry incidence: a node listed twice counts twice
+    incidence = h.node_edge_matrix[train_nodes].T
+    counts = np.empty((2, h.n_edges, columns.shape[1]))
+    class_sizes = np.empty((2, columns.shape[1]))
     for c in (0, 1):
-        members = train_nodes[train_labels == c]
-        class_sizes[c] = members.size
-        if members.size == 0:
+        members = columns == c
+        class_sizes[c] = members.sum(axis=0)
+        if not class_sizes[c].all():
             raise MissingClassError(f"no training nodes with label {c}")
-        counts[c] = np.asarray(
-            h.node_edge_matrix[members].sum(axis=0)).ravel()
+        # integer-valued, so exact whatever the summation order
+        counts[c] = incidence @ members.astype(np.float64)
 
     with np.errstate(divide="ignore"):
         fll = np.log(counts + smoothing)
         fll -= np.log(counts.sum(axis=1) + smoothing * h.n_edges)[:, None]
-        prior = np.log(class_sizes / train_nodes.size)
+        prior = np.log(class_sizes / class_sizes.sum(axis=0))
+    if train_labels.ndim == 1:
+        fll, prior = fll[..., 0], prior[:, 0]
     return NaiveBayesModel(class_log_prior=prior,
                            feature_log_likelihood=fll,
                            smoothing=float(smoothing))
@@ -107,6 +128,11 @@ def naive_bayes_log_odds(model: NaiveBayesModel, h: Hypergraph,
     nodes : int array, optional
         Node indices to score; all nodes when omitted.
 
+    Returns
+    -------
+    ndarray of shape ``(len(nodes),)``, or ``(len(nodes), d)`` for a
+    batch of ``d`` models.
+
     Raises
     ------
     ShapeError
@@ -125,4 +151,6 @@ def naive_bayes_log_odds(model: NaiveBayesModel, h: Hypergraph,
     incidence = h.node_edge_matrix
     if nodes is not None:
         incidence = incidence[np.asarray(nodes, dtype=np.int64)]
-    return prior + incidence @ ratio
+    scores = incidence @ ratio
+    scores += prior
+    return scores

@@ -178,10 +178,11 @@ def propagate(h: Hypergraph, x, config: PropagationConfig) -> np.ndarray:
         out = h.node_edge_matrix @ _edge_mean(
             h, x2 if in_scale is None else in_scale * x2)
         if out_scale is not None:
-            out = out_scale * out
+            out *= out_scale
         if residual:
             a = float(config.alpha)
-            out = 2.0 * a * out + (1.0 - 2.0 * a) * x2
+            out *= 2.0 * a
+            out += (1.0 - 2.0 * a) * x2
         x2 = out
     return x2[:, 0] if was_1d else x2
 

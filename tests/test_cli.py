@@ -133,6 +133,16 @@ class TestClassify:
         assert lines[0] == "class,fold,metric,value,micros"
         assert lines[-1].startswith("mean,mean,auc,")
 
+    @pytest.mark.parametrize("jobs", ["0", "-3"])
+    def test_fewer_than_one_job_exits_2(self, cliques, capsys, jobs):
+        incidence, labels = cliques
+        code = main(["classify", "--incidence", str(incidence),
+                     "--labels", str(labels), "--jobs", jobs])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: n_jobs must be >= 1")
+        assert "Traceback" not in err
+
     def test_single_class_dataset_is_degenerate(self, tmp_path, capsys):
         (tmp_path / "i.csv").write_text("nodeId,edgeId\na,e\nb,e\nc,e\nd,e\n")
         (tmp_path / "l.csv").write_text(

@@ -4,8 +4,11 @@ import pytest
 from hyperprop import (InvalidConfigError, InvalidFoldsError, MetricCell,
                        MetricReport, PropagationConfig, ShapeError, TaskSpec,
                        UnknownClassError, assign_folds, binarize,
-                       build_hypergraph, run_classification, run_retrieval)
+                       build_hypergraph, evaluation, run_classification,
+                       run_retrieval)
 from hyperprop.io import canonical_json_bytes, report_to_dict
+
+import oracles
 
 
 def two_cliques(per_side=10):
@@ -145,6 +148,16 @@ class TestClassification:
         with pytest.raises(InvalidConfigError):
             run_retrieval(h, labels, TaskSpec(task="classification"))
 
+    @pytest.mark.parametrize("jobs", [0, -3])
+    def test_fewer_than_one_job_rejected(self, jobs):
+        h, labels = two_cliques(4)
+        with pytest.raises(InvalidConfigError):
+            run_classification(h, labels, TaskSpec(task="classification",
+                                                   n_folds=2), n_jobs=jobs)
+        with pytest.raises(InvalidConfigError):
+            run_retrieval(h, labels, TaskSpec(task="retrieval", n_folds=2),
+                          n_jobs=jobs)
+
     def test_label_shape_checked(self):
         h, labels = two_cliques(4)
         with pytest.raises(ShapeError):
@@ -197,3 +210,68 @@ class TestDeterminism:
                     for jobs in (1, 4)
                 ]
                 assert docs[0] == docs[1]
+
+
+def multiclass_instance():
+    """Seeded graph with sparse class ids, a singleton and a rare class.
+
+    Its reports skip cells for every reason the harness knows, and it has
+    isolated nodes.
+    """
+    rng = np.random.default_rng(31)
+    n, m = 150, 40
+    labels = rng.choice([0, 2, 5, 9], size=n)
+    labels[:3] = 11   # rare: most test folds hold none of it
+    labels[3] = 14    # singleton: its training folds never hold it
+    rows, cols = (rng.random((n, m)) < 0.06).nonzero()
+    h, _ = build_hypergraph(list(zip(rows.tolist(), cols.tolist())),
+                            node_universe=range(n))
+    return h, labels
+
+
+HARNESS_CASES = [(task, "propagation", variant)
+                 for task in ("classification", "retrieval")
+                 for variant in ("row", "column", "symmetric", "alpha")]
+HARNESS_CASES += [(task, "naive-bayes", "row")
+                  for task in ("classification", "retrieval")]
+
+TEST_SINGLE = "test fold contains a single class"
+SKIP_REASONS = {
+    ("classification", "propagation"): {TEST_SINGLE},
+    ("classification", "naive-bayes"): {
+        TEST_SINGLE, "training folds contain a single class"},
+    ("retrieval", "propagation"): {"training fold contains no positive nodes"},
+    ("retrieval", "naive-bayes"): {"training fold contains no positive nodes"},
+}
+
+
+class TestBatchedHarness:
+    @pytest.mark.parametrize("n_jobs", [1, 3])
+    @pytest.mark.parametrize("width", [1, 3, None])
+    @pytest.mark.parametrize("task,method,variant", HARNESS_CASES)
+    def test_report_equals_per_cell_reference(self, monkeypatch, task, method,
+                                              variant, width, n_jobs):
+        h, labels = multiclass_instance()
+        columns = width or np.unique(labels).size  # None: one block per fold
+        monkeypatch.setattr(evaluation, "_BLOCK_BYTES", 8 * h.n_nodes * columns)
+        spec = TaskSpec(task=task, method=method, n_folds=5, top_k=12, seed=4,
+                        smoothing=0.5, propagation=PropagationConfig(
+                            variant=variant, layers=2,
+                            alpha=0.3 if variant == "alpha" else None))
+        runner = run_classification if task == "classification" \
+            else run_retrieval
+        got = runner(h, labels, spec, dataset_name="toy", n_jobs=n_jobs)
+        want = oracles.per_cell_report(h, labels, spec, dataset_name="toy",
+                                       n_jobs=n_jobs)
+        assert canonical_json_bytes(report_to_dict(got)) == \
+            canonical_json_bytes(report_to_dict(want))
+        assert {s.reason for s in want.skipped} == SKIP_REASONS[task, method]
+
+    def test_cell_micros_are_equal_shares_of_their_block(self, monkeypatch):
+        h, labels = multiclass_instance()
+        monkeypatch.setattr(evaluation, "_BLOCK_BYTES", 8 * h.n_nodes * 100)
+        report = run_retrieval(h, labels, TaskSpec(task="retrieval",
+                                                   n_folds=5, top_k=12))
+        for fold in range(5):
+            micros = {c.micros for c in report.cells if c.fold == fold}
+            assert len(micros) == 1 and micros.pop() > 0

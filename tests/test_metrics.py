@@ -1,9 +1,13 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from hyperprop import DegenerateLabelsError, precision_at_k, roc_auc
+from hyperprop import DegenerateLabelsError, ShapeError, precision_at_k, roc_auc
 
 import oracles
+
+# few distinct values, signed zeros and infinities: ties everywhere
+TIE_HEAVY = st.sampled_from([-np.inf, -1.0, -0.0, 0.0, 0.5, 1.0, np.inf])
 
 
 class TestRocAuc:
@@ -93,3 +97,58 @@ class TestPrecisionAtK:
             precision_at_k([1.0], [1], 0)
         with pytest.raises(ValueError):
             roc_auc([np.nan, 1.0], [1, 0])
+
+
+class TestPrecisionAtKTies:
+    @pytest.mark.parametrize("scores,labels,k", [
+        ([2.0] * 7, [0, 1, 1, 0, 1, 0, 0], 3),          # all scores equal
+        ([3, 2, 2, 2, 1], [0, 0, 1, 1, 1], 1),          # k above the tie
+        ([3, 2, 2, 2, 1], [0, 0, 1, 1, 1], 2),          # k inside the tie
+        ([3, 2, 2, 2, 1], [0, 0, 1, 1, 1], 4),          # k at its end
+        ([3, 2, 2, 2, 1], [0, 0, 1, 1, 1], 5),          # k == n
+        ([3, 2, 2, 2, 1], [0, 0, 1, 1, 1], 9),          # k > n
+        ([0.0, -0.0, 0.0, 1.0], [0, 1, 1, 0], 2),       # signed zeros tie
+    ])
+    def test_examples_match_exhaustive_oracle(self, scores, labels, k):
+        assert precision_at_k(scores, labels, k) == \
+            oracles.exhaustive_precision_at_k(scores, labels, k)
+
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(rows=st.lists(st.tuples(TIE_HEAVY, st.integers(0, 1)),
+                         min_size=1, max_size=30),
+           k=st.integers(1, 40))
+    def test_matches_exhaustive_oracle(self, rows, k):
+        scores, labels = [r[0] for r in rows], [r[1] for r in rows]
+        assert precision_at_k(scores, labels, k) == \
+            oracles.exhaustive_precision_at_k(scores, labels, k)
+
+
+class TestColumns:
+    """2-D input: one ranking per column, each scored as if alone."""
+
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    @given(data=st.data(), n=st.integers(2, 25), d=st.integers(1, 5))
+    def test_each_column_equals_its_single_call(self, data, n, d):
+        scores = np.array(data.draw(st.lists(TIE_HEAVY, min_size=n * d,
+                                             max_size=n * d))).reshape(n, d)
+        labels = np.array(data.draw(st.lists(st.integers(0, 1), min_size=n * d,
+                                             max_size=n * d))).reshape(n, d)
+        labels[0], labels[1] = 0, 1  # both classes in every column
+        k = data.draw(st.integers(1, n + 2))
+        aucs = roc_auc(scores, labels)
+        precisions = precision_at_k(scores, labels, k)
+        for j in range(d):
+            assert aucs[j] == roc_auc(scores[:, j], labels[:, j])
+            assert aucs[j] == pytest.approx(
+                oracles.pairwise_auc(scores[:, j], labels[:, j]), abs=1e-12)
+            assert precisions[j] == precision_at_k(scores[:, j], labels[:, j], k)
+
+    def test_degenerate_column_raises(self):
+        with pytest.raises(DegenerateLabelsError):
+            roc_auc([[0.1, 0.5], [0.2, 0.4]], [[0, 1], [1, 1]])
+
+    def test_shapes_must_match(self):
+        with pytest.raises(ShapeError):
+            roc_auc([[0.1, 0.5], [0.2, 0.4]], [0, 1])
+        with pytest.raises(ShapeError):
+            precision_at_k(np.zeros((2, 2, 2)), np.zeros((2, 2, 2)), 1)

@@ -139,3 +139,42 @@ class TestScore:
             want = oracles.count_bayes_log_odds(h, train, labels, smoothing,
                                                 nodes=range(h.n_nodes))
             np.testing.assert_allclose(got, want, atol=1e-9)
+
+
+class TestBatch:
+    """A 2-D label matrix fits one model per column; -1 leaves a node out."""
+
+    def test_each_column_equals_its_own_fit(self):
+        rng = np.random.default_rng(5)
+        for _ in range(50):
+            h = bernoulli_hypergraph(rng, max_nodes=40, max_edges=15)
+            nodes = np.arange(h.n_nodes)
+            d = int(rng.integers(1, 5))
+            labels = rng.integers(-1, 2, size=(h.n_nodes, d))
+            labels[:2] = [[0], [1]]
+            smoothing = float(rng.uniform(0.0, 2.0))
+            batch = fit_naive_bayes(h, nodes, labels, smoothing)
+            scores = naive_bayes_log_odds(batch, h, nodes[::2])
+            assert scores.shape == (nodes[::2].size, d)
+            for j in range(d):
+                keep = labels[:, j] >= 0
+                alone = fit_naive_bayes(h, nodes[keep], labels[keep, j],
+                                        smoothing)
+                assert np.array_equal(batch.feature_log_likelihood[..., j],
+                                      alone.feature_log_likelihood)
+                assert np.array_equal(batch.class_log_prior[:, j],
+                                      alone.class_log_prior)
+                assert np.array_equal(
+                    scores[:, j], naive_bayes_log_odds(alone, h, nodes[::2]))
+
+    def test_missing_class_in_any_column(self, chain):
+        with pytest.raises(MissingClassError):
+            fit_naive_bayes(chain, [0, 1, 2], [[1, 1], [0, -1], [0, -1]])
+
+    def test_label_values_checked(self, chain):
+        with pytest.raises(ValueError):
+            fit_naive_bayes(chain, [0, 2], [1, -1])      # -1 only in 2-D
+        with pytest.raises(ValueError):
+            fit_naive_bayes(chain, [0, 2], [1, 0.5])     # not truncated to 0
+        with pytest.raises(ShapeError):
+            fit_naive_bayes(chain, [0, 2], [[1], [0], [1]])

@@ -250,6 +250,21 @@ class TestBitwiseComposition:
                 expected = composed_layer(h, expected, cfg)
             assert np.array_equal(propagate(h, x, cfg), expected)
 
+    @pytest.mark.parametrize("layers", [1, 3])
+    @pytest.mark.parametrize("variant", ["row", "column", "symmetric", "alpha"])
+    def test_columns_propagate_as_if_alone(self, variant, layers):
+        cfg = PropagationConfig(variant=variant, layers=layers,
+                                alpha=0.3 if variant == "alpha" else None)
+        rng = np.random.default_rng(10 + layers)
+        graphs = [random_hypergraph(300, 60, 1500, seed=s) for s in range(3)]
+        graphs += [bernoulli_hypergraph(rng) for _ in range(5)]
+        for h in graphs:
+            x = rng.normal(size=(h.n_nodes, 6))
+            x[:, :3] = rng.random((h.n_nodes, 3)) < 0.2  # one-vs-rest seeds
+            batch = propagate(h, x, cfg)
+            for j in range(x.shape[1]):
+                assert np.array_equal(batch[:, j], propagate(h, x[:, j], cfg))
+
 
 class TestConfig:
     def test_alpha_required_in_open_interval(self):
