@@ -18,6 +18,7 @@ array, values included, is read-only) and safe to share across threads.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import chain, count
 from typing import Hashable, Iterable
 
 import numpy as np
@@ -29,17 +30,17 @@ from .errors import EmptyGraphError
 class IdMap:
     """Bijection between external identifiers and dense indices ``[0, n)``.
 
-    Indices are assigned in first-appearance order of :meth:`intern` calls,
-    which keeps construction streaming-friendly and deterministic.
+    Indices are assigned in first-appearance order, of ``ids`` at
+    construction (interned in bulk) and then of :meth:`intern` calls, which
+    keeps construction deterministic.
     """
 
     __slots__ = ("_index", "_ids")
 
     def __init__(self, ids: Iterable[Hashable] = ()):
-        self._index: dict[Hashable, int] = {}
-        self._ids: list[Hashable] = []
-        for key in ids:
-            self.intern(key)
+        self._ids: list[Hashable] = list(dict.fromkeys(ids))
+        self._index: dict[Hashable, int] = dict(
+            zip(self._ids, range(len(self._ids))))
 
     def intern(self, key: Hashable) -> int:
         """Return the dense index for ``key``, assigning a new one if unseen."""
@@ -223,6 +224,19 @@ def _structure_from_indices(nodes, edges, n_nodes, n_edges) -> Hypergraph:
     return Hypergraph(h.indptr, h.indices, ht.indptr, ht.indices)
 
 
+def _intern(keys: Iterable[Hashable], n: int) -> tuple[IdMap, np.ndarray]:
+    """Intern ``n`` keys in bulk: their IdMap and the dense index of each.
+
+    One dict pass maps every key to the position of its first occurrence;
+    a key's dense index is the rank of that position among all of them.
+    """
+    first: dict[Hashable, int] = {}
+    at = np.fromiter(map(first.setdefault, keys, count()), dtype=np.int64,
+                     count=n)
+    starts = np.fromiter(first.values(), dtype=np.int64, count=len(first))
+    return IdMap(first), np.searchsorted(starts, at)
+
+
 def build_hypergraph(
     pairs: Iterable[tuple[Hashable, Hashable]],
     node_universe: Iterable[Hashable] | None = None,
@@ -231,9 +245,10 @@ def build_hypergraph(
 
     Parameters
     ----------
-    pairs : iterable of (node identifier, edge identifier)
-        Arbitrary hashable identifiers.  Duplicate pairs collapse silently;
-        dense indices follow first appearance in the stream.
+    pairs : iterable of (node identifier, edge identifier), or (n, 2) array
+        Arbitrary hashable identifiers; an ``(n, 2)`` object array holds
+        one pair per row.  Duplicate pairs collapse silently; dense indices
+        follow first appearance in the stream.
     node_universe : iterable of node identifiers, optional
         Identifiers interned (in the given order) before reading ``pairs``,
         so that nodes carrying labels but appearing in no incidence pair
@@ -248,16 +263,16 @@ def build_hypergraph(
     EmptyGraphError
         If ``pairs`` yields nothing.
     """
-    node_map = IdMap(node_universe if node_universe is not None else ())
-    edge_map = IdMap()
-    node_idx: list[int] = []
-    edge_idx: list[int] = []
-    for node_id, edge_id in pairs:
-        node_idx.append(node_map.intern(node_id))
-        edge_idx.append(edge_map.intern(edge_id))
-    if not node_idx:
+    nodes, edges = (pairs.T if isinstance(pairs, np.ndarray)
+                    else list(zip(*pairs, strict=True)) or ((), ()))
+    if not len(nodes):
         raise EmptyGraphError("incidence stream contains no (node, edge) pairs")
-    h = _structure_from_indices(node_idx, edge_idx, len(node_map), len(edge_map))
+    universe = () if node_universe is None else tuple(node_universe)
+    node_map, node_idx = _intern(chain(universe, nodes),
+                                 len(universe) + len(nodes))
+    edge_map, edge_idx = _intern(edges, len(edges))
+    h = _structure_from_indices(node_idx[len(universe):], edge_idx,
+                                len(node_map), len(edge_map))
     return h, IdMaps(node_ids=node_map, edge_ids=edge_map)
 
 
@@ -272,10 +287,14 @@ def random_hypergraph(n_nodes: int, n_edges: int, nnz: int, seed: int) -> Hyperg
     Raises
     ------
     ValueError
-        If ``nnz < n_edges`` or ``nnz > n_nodes * n_edges``.
+        If ``nnz < n_edges`` or ``nnz > n_nodes * n_edges``, or if the
+        grid has ``2**63`` cells or more: sampled cells are int64 keys.
     """
     if n_nodes < 1 or n_edges < 1:
         raise ValueError("need at least one node and one edge")
+    if n_nodes * n_edges >= 2**63:
+        raise ValueError(f"n_nodes * n_edges must be below 2**63, "
+                         f"got {n_nodes * n_edges}")
     if not n_edges <= nnz <= n_nodes * n_edges:
         raise ValueError(f"nnz must lie in [{n_edges}, {n_nodes * n_edges}]")
     rng = np.random.default_rng(seed)

@@ -2,17 +2,23 @@
 
 Incidence files are delimiter-separated text (comma or tab, auto-detected
 from the header) with required columns ``nodeId`` and ``edgeId`` in any
-order; label files use ``nodeId`` and ``label``.  Metric reports serialize
-to a canonical JSON document (stable key order, lossless floats) or to CSV
-with the fixed column order ``class,fold,metric,value,micros``.
+order; label files use ``nodeId`` and ``label``.  Every input file is read
+in one pass into columns (see :class:`_Table`) and checked column-wise,
+failing at the line of its first bad row.  Metric reports serialize to a
+canonical JSON document (stable key order, lossless floats) or to CSV with
+the fixed column order ``class,fold,metric,value,micros``.
 """
 
 from __future__ import annotations
 
+import codecs
 import csv
+import io
 import json
+import re
 import warnings
 from dataclasses import dataclass
+from itertools import chain, count
 from pathlib import Path
 
 import numpy as np
@@ -21,6 +27,11 @@ from .errors import (MissingColumnError, MissingLabelError, ParseError,
                      UnknownNodeError)
 from .evaluation import MetricReport
 from .hypergraph import Hypergraph, IdMaps, build_hypergraph
+
+_LINE_END = re.compile("\r\n?|\n")
+_BLANK_LINES = re.compile("\n\n+")
+# the characters that make csv's default dialect quote a field
+_NEEDS_QUOTES = re.compile('[,"\r\n]')
 
 
 @dataclass(frozen=True)
@@ -39,50 +50,152 @@ class DatasetBundle:
         object.__setattr__(self, "labels", arr)
 
 
-def _open_rows(path):
-    """Yield (line_number, row) from a delimited file, header first.
+class _Table:
+    """A delimited file parsed in one pass into columns.
 
-    The delimiter is detected from the header line: tab if present,
-    otherwise comma.
+    The file is read once as UTF-8 (a leading BOM is dropped) and its
+    delimiter detected from the header line: tab if present, otherwise
+    comma.  Data lines are tokenized all at once, by ``str.split`` when
+    the data contain no ``"`` and by :mod:`csv` otherwise; both give the
+    same fields, line numbers and field size limit, so the tokenizer never
+    changes which files load.  Blank lines are skipped.
+
+    The table holds the ``rows`` data rows before the first bad one, and
+    ``lines[i]`` is the line number of row ``i``.  A check that finds a bad
+    row calls :meth:`reject`, which cuts the rows there, and :meth:`done`
+    raises the pending error: a file fails at its first bad row, with that
+    row's message, as a row-by-row reader would.
     """
-    with open(path, "r", encoding="utf-8-sig", newline="") as fh:
-        header_line = fh.readline()
-        if not header_line:
+
+    def __init__(self, path):
+        self.path = path
+        text = _decode(path, Path(path).read_bytes())
+        if not text:
             raise ParseError(f"{path}: file is empty")
-        delim = "\t" if "\t" in header_line else ","
-        reader = csv.reader([header_line], delimiter=delim)
-        header = [c.strip() for c in next(reader)]
-        yield 1, header
-        for lineno, row in enumerate(csv.reader(fh, delimiter=delim), start=2):
-            if not row:
-                continue
-            yield lineno, row
+        match = _LINE_END.search(text)
+        cut = match.end() if match else len(text)
+        delim = "\t" if "\t" in text[:cut] else ","
+        try:
+            header = next(csv.reader([text[:cut]], delimiter=delim))
+        except csv.Error as exc:
+            raise ParseError(f"{path}: line 1: {exc}") from exc
+        self.header = [c.strip() for c in header]
+        text = text[cut:]
+        tokenize = _csv_tokens if '"' in text else _split_tokens
+        tokens, counts, blank, stop, error = tokenize(text, delim)
+        k = len(self.header)
+        ragged = np.flatnonzero(~blank[:stop] & (counts[:stop] != k))
+        if ragged.size:
+            stop = int(ragged[0])
+            error = f"expected {k} fields, got {counts[stop]}"
+        self.error = None if error is None else ParseError(
+            f"{path}: line {stop + 2}: {error}")  # the header is line 1
+        self.lines = np.flatnonzero(~blank[:stop]) + 2
+        self.rows = self.lines.size
+        # rows before ``stop`` are well-formed, so the first ``rows * k``
+        # tokens are their fields, row after row
+        self._tokens = tokens
+
+    def indexes(self, names):
+        """Column index of each of ``names``."""
+        try:
+            return [self.header.index(name) for name in names]
+        except ValueError as exc:
+            raise MissingColumnError(
+                f"{self.path}: header must name columns {names}, "
+                f"got {self.header}") from exc
+
+    def column(self, i):
+        """The raw fields of column ``i``, one per row."""
+        k = len(self.header)
+        return self._tokens[i:self.rows * k:k]
+
+    def ids(self, columns):
+        """Whitespace-stripped identifier lists, one per column index.
+
+        Stops at the first row with an empty identifier.
+        """
+        ids = [list(map(str.strip, self.column(i))) for i in columns]
+        empty = [col.index("") for col in ids if "" in col]
+        if empty:
+            row = min(empty)
+            self.reject(row, "empty identifier")
+            ids = [col[:row] for col in ids]
+        return ids
+
+    def reject(self, row, message):
+        """Drop data row ``row`` and every row after it, failing at ``row``."""
+        self.rows = row
+        self.error = ParseError(
+            f"{self.path}: line {self.lines[row]}: {message}")
+
+    def done(self):
+        """Raise the error of the first bad row, if any."""
+        if self.error is not None:
+            raise self.error
 
 
-def _column_indexes(path, header, required):
+def _decode(path, raw):
+    if raw.startswith(codecs.BOM_UTF8):
+        raw = raw[len(codecs.BOM_UTF8):]
     try:
-        return [header.index(name) for name in required]
-    except ValueError as exc:
-        raise MissingColumnError(
-            f"{path}: header must name columns {required}, got {header}"
-        ) from exc
+        return raw.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        head = raw[:exc.start]
+        line = (head.count(b"\n") + head.count(b"\r")
+                - head.count(b"\r\n") + 1)
+        raise ParseError(
+            f"{path}: line {line}: invalid UTF-8: {exc.reason}") from exc
 
 
-def _read_pairs(path, columns):
-    rows = _open_rows(path)
-    _, header = next(rows)
-    idx = _column_indexes(path, header, columns)
-    out = []
-    for lineno, row in rows:
-        if len(row) != len(header):
-            raise ParseError(
-                f"{path}: line {lineno}: expected {len(header)} fields, "
-                f"got {len(row)}")
-        values = [row[i].strip() for i in idx]
-        if any(v == "" for v in values):
-            raise ParseError(f"{path}: line {lineno}: empty identifier")
-        out.append(tuple(values))
-    return out
+def _split_tokens(data, delim):
+    """Tokenize quote-free data lines with one ``str.split``.
+
+    Returns the flat token list (blank lines yield none), the tokens per
+    line, which lines are blank, the number of lines read and the error
+    that stopped the read.  Line ends are ``\\r\\n``, ``\\r`` and ``\\n``,
+    as for :mod:`csv`.  Tokens are counted on the UTF-8 bytes, where the
+    delimiter and the line end are single bytes.
+    """
+    data = data.replace("\r\n", "\n").replace("\r", "\n")
+    raw = np.frombuffer(data.encode("utf-8"), dtype=np.uint8)
+    ends = np.append(np.flatnonzero(raw == ord("\n")), raw.size)
+    counts = np.diff(np.searchsorted(np.flatnonzero(raw == ord(delim)), ends),
+                     prepend=0) + 1
+    width = np.diff(ends, prepend=-1) - 1  # in bytes, so at least the chars
+    del raw, ends
+    stop, error = width.size, None
+    limit = csv.field_size_limit()
+    if (width > limit).any():
+        lines = data.split("\n")
+        for line in np.flatnonzero(width > limit):
+            if max(map(len, lines[line].split(delim))) > limit:
+                stop = int(line)
+                error = f"field larger than field limit ({limit})"
+                break
+    blank = width == 0
+    if blank[:-1].any():
+        data = _BLANK_LINES.sub("\n", data).lstrip("\n")
+    return data.replace("\n", delim).split(delim), counts, blank, stop, error
+
+
+def _csv_tokens(data, delim):
+    """Tokenize with :mod:`csv`; returns what :func:`_split_tokens` does."""
+    rows, error = [], None
+    try:
+        rows.extend(csv.reader(io.StringIO(data, newline=""), delimiter=delim))
+    except csv.Error as exc:
+        error = str(exc)
+    counts = np.fromiter(map(len, rows), dtype=np.intp, count=len(rows))
+    return (list(chain.from_iterable(rows)), counts, counts == 0, len(rows),
+            error)
+
+
+def _read_ids(path, columns):
+    table = _Table(path)
+    ids = table.ids(table.indexes(columns))
+    table.done()
+    return ids
 
 
 def load_incidence(path, node_universe=None) -> tuple[Hypergraph, IdMaps]:
@@ -92,7 +205,7 @@ def load_incidence(path, node_universe=None) -> tuple[Hypergraph, IdMaps]:
     optional iterable of node identifiers, is interned ahead of the file
     contents so label-only isolated nodes exist with degree 0.
     """
-    pairs = _read_pairs(path, ("nodeId", "edgeId"))
+    pairs = np.array(_read_ids(path, ("nodeId", "edgeId")), dtype=object).T
     return build_hypergraph(pairs, node_universe=node_universe)
 
 
@@ -106,22 +219,24 @@ def read_labels(path):
     lexicographic one otherwise.  A repeated row is ignored; a node
     labeled twice with different values raises :class:`ParseError`.
     """
+    node_ids, labels = _read_ids(path, ("nodeId", "label"))
     seen: dict[str, str] = {}
-    for node_id, label in _read_pairs(path, ("nodeId", "label")):
-        first = seen.setdefault(node_id, label)
-        if first != label:
-            raise ParseError(
-                f"{path}: node {node_id!r} labeled both "
-                f"{first!r} and {label!r}")
+    firsts = list(map(seen.setdefault, node_ids, labels))
+    if firsts != labels:
+        row = next(i for i, (a, b) in enumerate(zip(firsts, labels))
+                   if a != b)
+        raise ParseError(
+            f"{path}: node {node_ids[row]!r} labeled both "
+            f"{firsts[row]!r} and {labels[row]!r}")
     class_names = sorted(set(seen.values()))
     try:
         class_names.sort(key=int)
     except ValueError:
         pass
-    class_id = {name: i for i, name in enumerate(class_names)}
-    labels = np.array([class_id[label] for label in seen.values()],
-                      dtype=np.int64)
-    return list(seen), labels, tuple(class_names)
+    class_id = dict(zip(class_names, count()))
+    dense = np.fromiter(map(class_id.__getitem__, seen.values()),
+                        dtype=np.int64, count=len(seen))
+    return list(seen), dense, tuple(class_names)
 
 
 def load_labels(path, id_maps: IdMaps):
@@ -170,35 +285,39 @@ def load_signal(path):
     Returns ``(node_ids, values)`` with ``values`` of shape
     ``(len(node_ids), d)``; column order follows the file.
     """
-    rows = _open_rows(path)
-    _, header = next(rows)
-    (node_col,) = _column_indexes(path, header, ("nodeId",))
-    value_cols = [i for i in range(len(header)) if i != node_col]
+    table = _Table(path)
+    (node_col,) = table.indexes(("nodeId",))
+    value_cols = [i for i in range(len(table.header)) if i != node_col]
     if not value_cols:
         raise MissingColumnError(f"{path}: no signal columns besides nodeId")
-    ids, values = [], []
-    seen = set()
-    for lineno, row in rows:
-        if len(row) != len(header):
-            raise ParseError(
-                f"{path}: line {lineno}: expected {len(header)} fields, "
-                f"got {len(row)}")
-        node_id = row[node_col].strip()
-        if node_id == "":
-            raise ParseError(f"{path}: line {lineno}: empty identifier")
-        if node_id in seen:
-            raise ParseError(f"{path}: line {lineno}: duplicate node "
-                             f"{node_id!r}")
-        seen.add(node_id)
-        try:
-            values.append([float(row[i]) for i in value_cols])
-        except ValueError as exc:
-            raise ParseError(
-                f"{path}: line {lineno}: non-numeric signal value") from exc
-        ids.append(node_id)
+    (ids,) = table.ids([node_col])
+    first_row: dict[str, int] = {}
+    first = np.fromiter(map(first_row.setdefault, ids, count()),
+                        dtype=np.intp, count=len(ids))
+    repeats = np.flatnonzero(first != np.arange(len(ids)))
+    if repeats.size:
+        row = int(repeats[0])
+        table.reject(row, f"duplicate node {ids[row]!r}")
+        ids = ids[:row]
+    columns = [table.column(i) for i in value_cols]
+    try:
+        values = np.array([list(map(float, col)) for col in columns])
+    except ValueError:
+        table.reject(min(map(_first_non_float, columns)),
+                     "non-numeric signal value")
+    table.done()
     if not ids:
         raise ParseError(f"{path}: no signal rows")
-    return ids, np.asarray(values, dtype=np.float64)
+    return ids, np.ascontiguousarray(values.T)
+
+
+def _first_non_float(texts):
+    for i, text in enumerate(texts):
+        try:
+            float(text)
+        except ValueError:
+            return i
+    return len(texts)
 
 
 def write_signal(path, node_ids, values):
@@ -209,11 +328,27 @@ def write_signal(path, node_ids, values):
     d = values.shape[1]
     header = ["nodeId"] + (["value"] if d == 1 else
                            [f"value{i}" for i in range(d)])
+    ids = list(node_ids)
+    try:
+        plain = _NEEDS_QUOTES.search("".join(ids)) is None
+    except TypeError:  # a non-str id: csv decides how it prints
+        plain = False
+    if not plain:
+        ids = list(map(_csv_field, ids))
+    line = "%s," + ",".join(["%.17g"] * d) + "\r\n"
     with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        for node_id, row in zip(node_ids, values):
-            writer.writerow([node_id] + [format(v, ".17g") for v in row])
+        csv.writer(fh).writerow(header)
+        # numpy rows, not values.tolist(), which holds every value as a
+        # Python float at once
+        fh.writelines(line % (node_id, *row)
+                      for node_id, row in zip(ids, values))
+
+
+def _csv_field(value) -> str:
+    """``value`` as csv's default writer prints it ahead of more fields."""
+    buf = io.StringIO()
+    csv.writer(buf).writerow((value, ""))
+    return buf.getvalue()[:-3]  # drop the empty last field and the "\r\n"
 
 
 def dataset_stats(bundle: DatasetBundle) -> dict:

@@ -71,6 +71,8 @@ def fit_naive_bayes(h: Hypergraph, train_nodes, train_labels,
     ------
     MissingClassError
         If either class has no training node (in any column).
+    ShapeError
+        If a training node id lies outside ``[0, h.n_nodes)``.
     """
     train_nodes = np.asarray(train_nodes, dtype=np.int64)
     train_labels = np.asarray(train_labels)
@@ -80,6 +82,7 @@ def fit_naive_bayes(h: Hypergraph, train_nodes, train_labels,
                          "entry of the 1-D train_nodes")
     if train_nodes.size == 0:
         raise MissingClassError("training set is empty")
+    _check_nodes(train_nodes, h)
     allowed = (train_labels == 0) | (train_labels == 1)
     if train_labels.ndim == 2:
         allowed |= train_labels == -1
@@ -113,6 +116,14 @@ def fit_naive_bayes(h: Hypergraph, train_nodes, train_labels,
                            smoothing=float(smoothing))
 
 
+def _check_nodes(nodes: np.ndarray, h: Hypergraph) -> None:
+    """Reject node ids outside ``[0, n_nodes)``; numpy would wrap or raise."""
+    bad = (nodes < 0) | (nodes >= h.n_nodes)
+    if bad.any():
+        raise ShapeError(f"node id {nodes[bad][0]} outside "
+                         f"[0, {h.n_nodes})")
+
+
 def naive_bayes_log_odds(model: NaiveBayesModel, h: Hypergraph,
                          nodes=None) -> np.ndarray:
     """Log-posterior-odds of the positive class for the given nodes.
@@ -136,7 +147,8 @@ def naive_bayes_log_odds(model: NaiveBayesModel, h: Hypergraph,
     Raises
     ------
     ShapeError
-        If the model was fitted on a different edge universe.
+        If the model was fitted on a different edge universe, or a node id
+        lies outside ``[0, h.n_nodes)``.
     """
     if model.n_features != h.n_edges:
         raise ShapeError(
@@ -150,7 +162,9 @@ def naive_bayes_log_odds(model: NaiveBayesModel, h: Hypergraph,
     prior = model.class_log_prior[1] - model.class_log_prior[0]
     incidence = h.node_edge_matrix
     if nodes is not None:
-        incidence = incidence[np.asarray(nodes, dtype=np.int64)]
+        nodes = np.asarray(nodes, dtype=np.int64)
+        _check_nodes(nodes, h)
+        incidence = incidence[nodes]
     scores = incidence @ ratio
     scores += prior
     return scores

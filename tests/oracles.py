@@ -7,17 +7,25 @@ arithmetic, exhaustive pair enumeration.  Slow on purpose.
 The exception is :func:`per_cell_report`, the reference for the batched
 evaluation harness: it scores one (class, fold) cell at a time through
 the public single-column functions.
+
+:func:`row_load_incidence` and :func:`row_read_labels` are the reference
+for ingestion: the row-by-row ``csv.reader`` loop the columnar reader
+replaced, with one dict lookup per pair and the structure built from
+Python sets.
 """
 
+import csv
 import math
 import time
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
-from hyperprop import (MetricCell, MetricReport, SkippedCell, assign_folds,
-                       binarize, fit_naive_bayes, naive_bayes_log_odds,
-                       precision_at_k, propagate, roc_auc)
+from hyperprop import (EmptyGraphError, Hypergraph, MetricCell,
+                       MetricReport, MissingColumnError, ParseError,
+                       SkippedCell, assign_folds, binarize, fit_naive_bayes,
+                       naive_bayes_log_odds, precision_at_k, propagate,
+                       roc_auc)
 
 # the dense matrix-product layer lives next to the sparse engine and is
 # re-exported here so tests wire every oracle through one module
@@ -177,3 +185,108 @@ def per_cell_report(h, labels, task, *, dataset_name="", class_names=None,
                         method=task.method, metric=task.metric_name,
                         params=params, class_names=names,
                         cells=tuple(cells), skipped=tuple(skipped))
+
+
+def _open_rows(path):
+    """Yield (line_number, row) from a delimited file, header first.
+
+    The delimiter is detected from the header line: tab if present,
+    otherwise comma.  A ``csv.Error`` (a field over the size limit)
+    becomes a :class:`ParseError` at the row it stopped on.
+    """
+    with open(path, "r", encoding="utf-8-sig", newline="") as fh:
+        header_line = fh.readline()
+        if not header_line:
+            raise ParseError(f"{path}: file is empty")
+        delim = "\t" if "\t" in header_line else ","
+        try:
+            header = next(csv.reader([header_line], delimiter=delim))
+        except csv.Error as exc:
+            raise ParseError(f"{path}: line 1: {exc}") from exc
+        yield 1, [c.strip() for c in header]
+        reader = csv.reader(fh, delimiter=delim)
+        lineno = 2
+        while True:
+            try:
+                row = next(reader)
+            except StopIteration:
+                return
+            except csv.Error as exc:
+                raise ParseError(f"{path}: line {lineno}: {exc}") from exc
+            if row:
+                yield lineno, row
+            lineno += 1
+
+
+def row_read_pairs(path, columns):
+    """The named columns of every data row, as tuples of stripped ids."""
+    rows = _open_rows(path)
+    _, header = next(rows)
+    try:
+        idx = [header.index(name) for name in columns]
+    except ValueError as exc:
+        raise MissingColumnError(
+            f"{path}: header must name columns {columns}, got {header}"
+        ) from exc
+    out = []
+    for lineno, row in rows:
+        if len(row) != len(header):
+            raise ParseError(
+                f"{path}: line {lineno}: expected {len(header)} fields, "
+                f"got {len(row)}")
+        values = [row[i].strip() for i in idx]
+        if any(v == "" for v in values):
+            raise ParseError(f"{path}: line {lineno}: empty identifier")
+        out.append(tuple(values))
+    return out
+
+
+def row_load_incidence(path, node_universe=()):
+    """``(Hypergraph, node ids, edge ids)`` from a pair-by-pair build."""
+    node_index, edge_index = {}, {}
+    for node in node_universe:
+        node_index.setdefault(node, len(node_index))
+    incidences = set()
+    for node, edge in row_read_pairs(path, ("nodeId", "edgeId")):
+        i = node_index.setdefault(node, len(node_index))
+        j = edge_index.setdefault(edge, len(edge_index))
+        incidences.add((i, j))
+    if not incidences:
+        raise EmptyGraphError("incidence stream contains no (node, edge) pairs")
+
+    def csr(pairs, n_rows):
+        members = [[] for _ in range(n_rows)]
+        for a, b in sorted(pairs):
+            members[a].append(b)
+        ptr = [0]
+        for m in members:
+            ptr.append(ptr[-1] + len(m))
+        return ptr, [b for m in members for b in m]
+
+    node_ptr, node_adj = csr(incidences, len(node_index))
+    edge_ptr, edge_adj = csr({(j, i) for i, j in incidences}, len(edge_index))
+    h = Hypergraph(node_ptr, node_adj, edge_ptr, edge_adj)
+    return h, tuple(node_index), tuple(edge_index)
+
+
+def row_read_labels(path):
+    """``(node ids, class ids, class names)`` as ``read_labels`` defines them."""
+    seen = {}
+    for node, label in row_read_pairs(path, ("nodeId", "label")):
+        first = seen.setdefault(node, label)
+        if first != label:
+            raise ParseError(f"{path}: node {node!r} labeled both "
+                             f"{first!r} and {label!r}")
+    names = sorted(set(seen.values()))
+    if all(_is_int(n) for n in names):
+        names.sort(key=int)
+    return (list(seen), [names.index(v) for v in seen.values()],
+            tuple(names))
+
+
+def _is_int(text):
+    try:
+        int(text)
+    except ValueError:
+        return False
+    return True

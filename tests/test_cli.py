@@ -1,4 +1,9 @@
+import csv
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -219,3 +224,40 @@ class TestArgumentErrors:
         with pytest.raises(SystemExit) as exc:
             main(["transmogrify"])
         assert exc.value.code == 2
+
+
+def run_cli(*argv):
+    """``python -m hyperprop`` in a child process, so a traceback would show."""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (src, env.get("PYTHONPATH")) if p)
+    return subprocess.run([sys.executable, "-m", "hyperprop", *argv],
+                          capture_output=True, text=True, env=env)
+
+
+class TestMalformedInputExits2:
+    def test_over_long_identifier(self, tmp_path):
+        incidence = tmp_path / "incidence.csv"
+        long_id = "x" * (csv.field_size_limit() + 1)
+        incidence.write_text(f"nodeId,edgeId\nu1,v1\n{long_id},v1\n")
+        labels = tmp_path / "labels.csv"
+        labels.write_text("nodeId,label\nu1,a\n")
+        result = run_cli("propagate", "--incidence", str(incidence),
+                         "--labels", str(labels),
+                         "--output", str(tmp_path / "out.csv"))
+        assert result.returncode == 2
+        assert "Traceback" not in result.stderr
+        assert f"{incidence}: line 3: field larger than field limit" \
+            in result.stderr
+
+    def test_invalid_utf8(self, tmp_path):
+        incidence = tmp_path / "incidence.csv"
+        incidence.write_text(CHAIN)
+        labels = tmp_path / "labels.csv"
+        labels.write_bytes(b"nodeId,label\nu1,a\nu2,\xff\n")
+        result = run_cli("classify", "--incidence", str(incidence),
+                         "--labels", str(labels))
+        assert result.returncode == 2
+        assert "Traceback" not in result.stderr
+        assert f"{labels}: line 3: invalid UTF-8" in result.stderr

@@ -28,6 +28,13 @@ class TestBuild:
         with pytest.raises(EmptyGraphError):
             build_hypergraph([], node_universe=["a", "b"])
 
+    @pytest.mark.parametrize("pairs", [[("a", "e", "x")],
+                                       [("a", "e"), ("b", "e", "x")],
+                                       [("a", "e"), ("b",)]])
+    def test_pairs_must_have_two_ids(self, pairs):
+        with pytest.raises(ValueError):
+            build_hypergraph(pairs)
+
     def test_first_appearance_indexing(self):
         _, maps = build_hypergraph(PAIRS)
         assert maps.node_ids.ids == ("a", "b", "c")
@@ -150,3 +157,9 @@ class TestRandomHypergraph:
             random_hypergraph(10, 5, 4, seed=0)   # nnz < n_edges
         with pytest.raises(ValueError):
             random_hypergraph(2, 2, 5, seed=0)    # nnz > n * m
+
+    def test_rejects_grid_past_int64_keys(self):
+        # node * n_edges + edge keys would overflow int64 deep inside
+        with pytest.raises(ValueError, match=r"n_nodes \* n_edges must be "
+                                             r"below 2\*\*63"):
+            random_hypergraph(2**62, 4, 4, seed=0)

@@ -1,0 +1,142 @@
+"""Property-based ingestion suite: the columnar reader against the row loop.
+
+Every generated incidence or label file either loads to the same
+structure, identifier order and labels as the row-by-row oracle in
+``oracles.py``, or fails with the same error type and message (which
+carries the line number).  Files mix duplicates, label-only nodes,
+unicode ids (vertical tab, NEL and the line separator among them, which
+``str.splitlines`` would split on and csv does not), quoted ids holding
+the delimiter, quotes or line ends, a BOM, tab or comma delimiters,
+``\\n``/``\\r\\n``/``\\r`` line ends, blank lines, a missing final newline,
+ragged rows, empty ids and, under a lowered csv field size limit,
+over-long fields.
+"""
+
+import contextlib
+import csv
+import tempfile
+from pathlib import Path
+
+import numpy as np
+from hypothesis import given, settings, strategies as st
+
+from hyperprop import HyperpropError, load_incidence
+from hyperprop.io import read_labels
+from oracles import row_load_incidence, row_read_labels
+
+SPACE = ["\x0b", "\x85", "\u2028", " ", "\t", "\r", "\n"]
+CORE = st.sampled_from(list("ab7é,\"") + SPACE)
+IDS = st.builds(
+    lambda pad, core, tail: pad + core + tail,
+    st.text(st.sampled_from(SPACE), max_size=2),
+    st.one_of(st.text(CORE, min_size=1, max_size=2),  # short ids repeat
+              st.text(CORE, min_size=1, max_size=6)).filter(str.strip),
+    st.text(st.sampled_from(SPACE), max_size=2))
+BLANK_IDS = st.text(st.sampled_from(SPACE), max_size=2)
+LABELS = st.sampled_from(["0", "1", "10", " 2", "02", "x", "b,c"])
+LINE_ENDS = st.sampled_from(["\n", "\r\n", "\r"])
+
+
+def _render(field, delim, quote):
+    if quote or any(c in field for c in (delim, '"', "\r", "\n")):
+        return '"' + field.replace('"', '""') + '"'
+    return field
+
+
+@st.composite
+def delimited_files(draw, columns):
+    """Bytes of a delimited file; ``columns`` maps each name to its values.
+
+    Half the files hold bad rows: short, long, or with an empty (or
+    all-whitespace) identifier.  Half are quote-free: there the delimiter,
+    quote and line-end characters in ids are swapped for others, which
+    sends the file down the ``str.split`` tokenizer.
+    """
+    delim = draw(st.sampled_from([",", "\t"]))
+    plain = draw(st.booleans())
+    swap = str.maketrans({delim: "a", '"': "b", "\r": "\x85", "\n": "\u2028"})
+    columns = dict(columns)
+    if draw(st.booleans()):
+        columns["weight"] = IDS
+    header = draw(st.permutations(list(columns)))
+    quote_header = not plain and draw(st.booleans())
+    lines = [delim.join(_render(c, delim, quote_header) for c in header)]
+    kinds = ["row"] * 8 + ["blank"]
+    if draw(st.booleans()):
+        kinds += ["short", "long", "empty"]
+    for _ in range(draw(st.integers(0, 12))):
+        kind = draw(st.sampled_from(kinds))
+        if kind == "blank":
+            lines.append("")
+            continue
+        fields = [draw(columns[c]) for c in header]
+        if kind == "short":
+            fields.pop()
+        elif kind == "long":
+            fields.append(draw(IDS))
+        elif kind == "empty":
+            fields[draw(st.integers(0, len(fields) - 1))] = draw(BLANK_IDS)
+        if plain:
+            fields = [f.translate(swap) for f in fields]
+        lines.append(delim.join(
+            _render(f, delim, not plain and draw(st.integers(0, 9)) == 0)
+            for f in fields))
+    text = "".join(line + draw(LINE_ENDS) for line in lines)
+    if not draw(st.booleans()):  # no final newline
+        text = text[:-2] if text.endswith("\r\n") else text[:-1]
+    if draw(st.booleans()):
+        text = "\ufeff" + text
+    return text.encode("utf-8")
+
+
+@contextlib.contextmanager
+def field_limit(limit):
+    saved = csv.field_size_limit()
+    if limit is not None:
+        csv.field_size_limit(limit)
+    try:
+        yield
+    finally:
+        csv.field_size_limit(saved)
+
+
+def outcome(fn, *args, **kwargs):
+    try:
+        return "ok", fn(*args, **kwargs)
+    except HyperpropError as exc:
+        return type(exc), str(exc)
+
+
+@settings(max_examples=250, deadline=None, derandomize=True)
+@given(incidence=delimited_files({"nodeId": IDS, "edgeId": IDS}),
+       labels=delimited_files({"nodeId": IDS, "label": LABELS}),
+       limit=st.sampled_from([None, None, 7]))
+def test_columnar_reader_matches_row_oracle(incidence, labels, limit):
+    with tempfile.TemporaryDirectory() as tmp:
+        inc_path, lab_path = Path(tmp, "incidence.csv"), Path(tmp, "labels.csv")
+        inc_path.write_bytes(incidence)
+        lab_path.write_bytes(labels)
+        with field_limit(limit):
+            got_labels = outcome(read_labels, lab_path)
+            want_labels = outcome(row_read_labels, lab_path)
+            universe = got_labels[1][0] if got_labels[0] == "ok" else None
+            got = outcome(load_incidence, inc_path, node_universe=universe)
+            want = outcome(row_load_incidence, inc_path, universe or ())
+
+    assert got_labels[0] == want_labels[0]
+    if got_labels[0] == "ok":
+        node_ids, classes, class_names = got_labels[1]
+        assert (node_ids, classes.tolist(), class_names) == want_labels[1]
+        assert classes.dtype == np.int64
+    else:
+        assert got_labels[1] == want_labels[1]
+
+    assert got[0] == want[0]
+    if got[0] != "ok":
+        assert got[1] == want[1]
+        return
+    (h, maps), (h_ref, node_ids, edge_ids) = got[1], want[1]
+    assert maps.node_ids.ids == node_ids
+    assert maps.edge_ids.ids == edge_ids
+    for name in ("node_ptr", "node_adj", "edge_ptr", "edge_adj"):
+        assert np.array_equal(getattr(h, name), getattr(h_ref, name)), name

@@ -1,4 +1,5 @@
 import csv
+import io
 import json
 
 import numpy as np
@@ -9,7 +10,7 @@ from hyperprop import (MetricCell, MetricReport, MissingColumnError,
                        check_stats, dataset_stats, load_dataset,
                        load_incidence, load_labels, load_signal, write_report,
                        write_signal)
-from hyperprop.io import canonical_json_bytes, report_to_dict
+from hyperprop.io import canonical_json_bytes, read_labels, report_to_dict
 
 INCIDENCE = "nodeId,edgeId\na,e1\nb,e1\nb,e2\nc,e2\n"
 LABELS = "nodeId,label\na,art\nb,bio\nc,art\n"
@@ -81,6 +82,88 @@ class TestLoadIncidence:
         h2, _ = load_incidence(incidence_file)
         for name in ("node_ptr", "node_adj", "edge_ptr", "edge_adj"):
             assert np.array_equal(getattr(h1, name), getattr(h2, name))
+
+
+class TestColumnarReader:
+    """What the two tokenizers (quote-free ``str.split`` and csv) share."""
+
+    @pytest.mark.parametrize("quoted", [False, True])
+    def test_over_long_field_is_a_parse_error(self, tmp_path, quoted):
+        too_long = "x" * (csv.field_size_limit() + 1)
+        field = f'"{too_long}"' if quoted else too_long
+        path = tmp_path / "long.csv"
+        path.write_text(f"nodeId,edgeId\na,e1\n\n{field},e2\nb\n")
+        with pytest.raises(ParseError, match=r"long\.csv: line 4: field "
+                                             r"larger than field limit"):
+            load_incidence(path)
+
+    @pytest.mark.parametrize("quoted", [False, True])
+    def test_field_at_the_limit_loads(self, tmp_path, quoted):
+        longest = "x" * csv.field_size_limit()
+        field = f'"{longest}"' if quoted else longest
+        path = tmp_path / "limit.csv"
+        path.write_text(f"nodeId,edgeId\n{field},e1\n")
+        _, maps = load_incidence(path)
+        assert maps.node_ids.ids == (longest,)
+
+    def test_invalid_utf8_names_path_and_line(self, tmp_path):
+        path = tmp_path / "latin1.csv"
+        path.write_bytes(b"\xef\xbb\xbfnodeId,edgeId\r\na,e1\rb,\xffe\n")
+        with pytest.raises(ParseError, match=r"latin1\.csv: line 3: "
+                                             r"invalid UTF-8"):
+            load_incidence(path)
+
+    def test_only_cr_and_lf_end_lines(self, tmp_path):
+        # str.splitlines would also split at \x0b, \x1c, \x85 and \u2028
+        ids = ["a\x0bb", "c\x1cd", "e\x85f", "g\u2028h"]
+        path = tmp_path / "seps.csv"
+        path.write_text("nodeId,edgeId\r\n"
+                        + "".join(f"{i},e\r" for i in ids[:2])
+                        + "".join(f"{i},e\n" for i in ids[2:]),
+                        newline="")
+        _, maps = load_incidence(path)
+        assert maps.node_ids.ids == tuple(ids)
+
+    @pytest.mark.parametrize("quote", [False, True])
+    def test_blank_lines_skipped_but_counted(self, tmp_path, quote):
+        q = '"' if quote else ""
+        path = tmp_path / "blank.tsv"
+        path.write_text(f"nodeId\tedgeId\n\n{q}a{q}\te1\r\n\r\n"
+                        f"b\te1\n\nc\n", newline="")
+        with pytest.raises(ParseError, match="line 7: expected 2 fields"):
+            load_incidence(path)
+
+    def test_quoted_ids_hold_delimiter_quote_and_newline(self, tmp_path):
+        path = tmp_path / "quoted.csv"
+        path.write_text('nodeId,edgeId\n"a,1",e1\n"b""\n2",e1\nc,e2\n'
+                        'x,"e3"\n')
+        _, maps = load_incidence(path)
+        assert maps.node_ids.ids == ("a,1", 'b"\n2', "c", "x")
+        assert maps.edge_ids.ids == ("e1", "e2", "e3")
+
+    @pytest.mark.parametrize("text, message", [
+        ("a,e1\n , e2\nb\n", "line 3: empty identifier"),
+        ("a,e1\nb\n , e2\n", "line 3: expected 2 fields, got 1"),
+        ("a,e1\nb,e1,x\n", "line 3: expected 2 fields, got 3"),
+    ])
+    def test_first_bad_row_decides_the_error(self, tmp_path, text, message):
+        path = tmp_path / "bad.csv"
+        path.write_text("nodeId,edgeId\n" + text)
+        with pytest.raises(ParseError, match=message):
+            load_incidence(path)
+
+    def test_ragged_row_wins_over_a_later_label_conflict(self, tmp_path):
+        path = tmp_path / "labels.csv"
+        path.write_text("nodeId,label\na,x\na,y\nb\n")
+        with pytest.raises(ParseError, match="line 4: expected 2 fields"):
+            read_labels(path)
+
+    def test_first_label_conflict_reported(self, tmp_path):
+        path = tmp_path / "labels.csv"
+        path.write_text("nodeId,label\na,x\nb,y\na,x\nb,z\na,w\n")
+        with pytest.raises(ParseError,
+                           match="node 'b' labeled both 'y' and 'z'"):
+            read_labels(path)
 
 
 class TestLoadLabels:
@@ -177,6 +260,48 @@ class TestSignalFiles:
         path.write_text("nodeId,value\na,x\n")
         with pytest.raises(ParseError, match="line 2"):
             load_signal(path)
+
+    @pytest.mark.parametrize("text, message", [
+        ("a,1\nb,x\na,2\n", "line 3: non-numeric signal value"),
+        ("a,1\na,x\nb,x\n", "line 3: duplicate node 'a'"),
+        ("a,1\n ,x\na,2\n", "line 3: empty identifier"),
+        ("a,1\nb,x,3\nb,2\n", "line 3: expected 2 fields, got 3"),
+    ])
+    def test_first_bad_row_decides_the_error(self, tmp_path, text, message):
+        path = tmp_path / "bad.csv"
+        path.write_text("nodeId,value\n" + text)
+        with pytest.raises(ParseError, match=message):
+            load_signal(path)
+
+    def test_no_rows_rejected(self, tmp_path):
+        path = tmp_path / "header_only.csv"
+        path.write_text("nodeId,value\n\n")
+        with pytest.raises(ParseError, match="no signal rows"):
+            load_signal(path)
+
+    def test_bytes_match_the_csv_writer(self, tmp_path):
+        # csv quotes an id holding a delimiter, a quote or a line end
+        ids = ["plain", 'a,"b"\nc', "d\re", "x y", 7]
+        values = np.array([[0.1, -0.0], [1 / 3, 2.5e-300], [np.inf, -np.nan],
+                           [1e17, 5.0], [-7.0, 0.0]])
+        path = tmp_path / "signal.csv"
+        write_signal(path, ids, values)
+        expected = io.StringIO(newline="")
+        writer = csv.writer(expected)
+        writer.writerow(["nodeId", "value0", "value1"])
+        for node_id, row in zip(ids, values):
+            writer.writerow([node_id] + [format(v, ".17g") for v in row])
+        assert path.read_bytes() == expected.getvalue().encode("utf-8")
+        assert path.read_bytes().startswith(
+            b'nodeId,value0,value1\r\nplain,0.10000000000000001,-0\r\n'
+            b'"a,""b""\nc",0.33333333333333331,2.5e-300\r\n'
+            b'"d\re",inf,nan\r\n')
+
+    def test_plain_ids_bytes(self, tmp_path):
+        path = tmp_path / "signal.csv"
+        write_signal(path, ("u1", "u\x0b2"), np.array([1.5, 2.0]))
+        assert path.read_bytes() == (b"nodeId,value\r\nu1,1.5\r\n"
+                                     b"u\x0b2,2\r\n")
 
 
 class TestReports:

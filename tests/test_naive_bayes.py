@@ -60,6 +60,13 @@ class TestFit:
         with pytest.raises(MissingClassError):
             fit_naive_bayes(chain, [], [])
 
+    @pytest.mark.parametrize("nodes", [[-1, 0], [0, 5], [0, 3]])
+    def test_node_ids_outside_graph_rejected(self, chain, nodes):
+        # -1 would train on the last node; 5 would raise a bare IndexError
+        bad = [n for n in nodes if not 0 <= n < 3][0]
+        with pytest.raises(ShapeError, match=f"node id {bad} outside"):
+            fit_naive_bayes(chain, nodes, [1, 0])
+
 
 class TestScore:
     def test_worked_example_score(self, chain):
@@ -124,6 +131,12 @@ class TestScore:
         model = fit_naive_bayes(chain, [0, 2], [1, 0])
         with pytest.raises(ShapeError):
             naive_bayes_log_odds(model, other)
+
+    @pytest.mark.parametrize("nodes", [[-1], [1, 3]])
+    def test_node_ids_outside_graph_rejected(self, chain, nodes):
+        model = fit_naive_bayes(chain, [0, 2], [1, 0])
+        with pytest.raises(ShapeError, match="outside"):
+            naive_bayes_log_odds(model, chain, nodes)
 
     def test_matches_count_oracle_on_random_instances(self):
         rng = np.random.default_rng(2)
