@@ -13,12 +13,17 @@ fit.
 
 Instances are deeply immutable (attributes cannot be rebound and every
 array, values included, is read-only) and safe to share across threads.
+
+:func:`build_hypergraph` interns in-memory pairs of hashable ids with one
+dict pass per side.  File loaders intern ids from the file bytes instead
+and pass :class:`InternedPairs`; either way a node universe is merged
+against the distinct node ids only.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import chain, count
+from itertools import chain, count, repeat
 from typing import Hashable, Iterable
 
 import numpy as np
@@ -54,6 +59,12 @@ class IdMap:
     def index_of(self, key: Hashable) -> int:
         """Dense index of ``key``; raises ``KeyError`` if never interned."""
         return self._index[key]
+
+    def lookup(self, keys: Iterable[Hashable]) -> np.ndarray:
+        """Dense index of each of ``keys``, -1 for a key never interned."""
+        keys = list(keys)
+        return np.fromiter(map(self._index.get, keys, repeat(-1)),
+                           dtype=np.intp, count=len(keys))
 
     def id_of(self, index: int) -> Hashable:
         """External identifier stored at dense ``index``."""
@@ -224,35 +235,57 @@ def _structure_from_indices(nodes, edges, n_nodes, n_edges) -> Hypergraph:
     return Hypergraph(h.indptr, h.indices, ht.indptr, ht.indices)
 
 
-def _intern(keys: Iterable[Hashable], n: int) -> tuple[IdMap, np.ndarray]:
-    """Intern ``n`` keys in bulk: their IdMap and the dense index of each.
+@dataclass(frozen=True)
+class InternedPairs:
+    """(node, edge) pairs given as indices into each side's distinct ids.
+
+    Pair ``i`` is ``(node_ids[nodes[i]], edge_ids[edges[i]])``; each id
+    list holds distinct ids in first-appearance order, so its index arrays
+    number them by first appearance.  ``len()`` is the number of pairs.
+    """
+
+    node_ids: list
+    nodes: np.ndarray
+    edge_ids: list
+    edges: np.ndarray
+
+    def __len__(self) -> int:
+        return len(self.nodes)
+
+
+def _intern(keys) -> tuple[list, np.ndarray]:
+    """Intern a sequence of keys: its distinct keys and each key's index.
 
     One dict pass maps every key to the position of its first occurrence;
     a key's dense index is the rank of that position among all of them.
     """
     first: dict[Hashable, int] = {}
-    at = np.fromiter(map(first.setdefault, keys, count()), dtype=np.int64,
-                     count=n)
-    starts = np.fromiter(first.values(), dtype=np.int64, count=len(first))
-    return IdMap(first), np.searchsorted(starts, at)
+    at = np.fromiter(map(first.setdefault, keys, count()), dtype=np.intp,
+                     count=len(keys))
+    rank = np.empty(len(keys), dtype=np.intp)
+    rank[np.fromiter(first.values(), dtype=np.intp, count=len(first))] = (
+        np.arange(len(first)))
+    return list(first), rank[at]
 
 
 def build_hypergraph(
-    pairs: Iterable[tuple[Hashable, Hashable]],
+    pairs: Iterable[tuple[Hashable, Hashable]] | InternedPairs,
     node_universe: Iterable[Hashable] | None = None,
 ) -> tuple[Hypergraph, IdMaps]:
     """Construct a hypergraph from a stream of (node id, edge id) pairs.
 
     Parameters
     ----------
-    pairs : iterable of (node identifier, edge identifier), or (n, 2) array
-        Arbitrary hashable identifiers; an ``(n, 2)`` object array holds
-        one pair per row.  Duplicate pairs collapse silently; dense indices
-        follow first appearance in the stream.
+    pairs : iterable of (node identifier, edge identifier), or InternedPairs
+        Arbitrary hashable identifiers, interned here with one dict pass
+        per side; :func:`~hyperprop.io.load_incidence` passes its file's
+        pairs already interned.  Duplicate pairs collapse silently; dense
+        indices follow first appearance in the stream.
     node_universe : iterable of node identifiers, optional
         Identifiers interned (in the given order) before reading ``pairs``,
         so that nodes carrying labels but appearing in no incidence pair
-        still exist, with degree 0.
+        still exist, with degree 0.  Only the distinct node ids of
+        ``pairs`` are looked up in it.
 
     Returns
     -------
@@ -263,16 +296,16 @@ def build_hypergraph(
     EmptyGraphError
         If ``pairs`` yields nothing.
     """
-    nodes, edges = (pairs.T if isinstance(pairs, np.ndarray)
-                    else list(zip(*pairs, strict=True)) or ((), ()))
-    if not len(nodes):
+    if not isinstance(pairs, InternedPairs):
+        nodes, edges = list(zip(*pairs, strict=True)) or ((), ())
+        pairs = InternedPairs(*_intern(nodes), *_intern(edges))
+    if not len(pairs):
         raise EmptyGraphError("incidence stream contains no (node, edge) pairs")
-    universe = () if node_universe is None else tuple(node_universe)
-    node_map, node_idx = _intern(chain(universe, nodes),
-                                 len(universe) + len(nodes))
-    edge_map, edge_idx = _intern(edges, len(edges))
-    h = _structure_from_indices(node_idx[len(universe):], edge_idx,
-                                len(node_map), len(edge_map))
+    universe = () if node_universe is None else node_universe
+    node_map = IdMap(chain(universe, pairs.node_ids))
+    edge_map = IdMap(pairs.edge_ids)
+    h = _structure_from_indices(node_map.lookup(pairs.node_ids)[pairs.nodes],
+                                pairs.edges, len(node_map), len(edge_map))
     return h, IdMaps(node_ids=node_map, edge_ids=edge_map)
 
 

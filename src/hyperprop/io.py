@@ -3,10 +3,16 @@
 Incidence files are delimiter-separated text (comma or tab, auto-detected
 from the header) with required columns ``nodeId`` and ``edgeId`` in any
 order; label files use ``nodeId`` and ``label``.  Every input file is read
-in one pass into columns (see :class:`_Table`) and checked column-wise,
-failing at the line of its first bad row.  Metric reports serialize to a
-canonical JSON document (stable key order, lossless floats) or to CSV with
-the fixed column order ``class,fold,metric,value,micros``.
+in one pass into the byte range of each field (see :class:`_Table`) and
+checked column-wise, failing at the line of its first bad row.  An id
+column whose ids are all under 8 bytes and unpadded never becomes one
+Python object per row: :func:`_intern_fields` groups equal ids by sorting
+one exact 64-bit key per field, then decodes each distinct id once.  Any
+other id column is decoded, stripped by ``str.strip`` and grouped by a
+dict.  Memory grows with the bytes read.
+Metric reports serialize to a canonical JSON document (stable key order,
+lossless floats) or to CSV with the fixed column order
+``class,fold,metric,value,micros``.
 """
 
 from __future__ import annotations
@@ -26,12 +32,20 @@ import numpy as np
 from .errors import (MissingColumnError, MissingLabelError, ParseError,
                      UnknownNodeError)
 from .evaluation import MetricReport
-from .hypergraph import Hypergraph, IdMaps, build_hypergraph
+from .hypergraph import (Hypergraph, IdMaps, InternedPairs, _intern,
+                         build_hypergraph)
 
-_LINE_END = re.compile("\r\n?|\n")
-_BLANK_LINES = re.compile("\n\n+")
+_LINE_END = re.compile(rb"\r\n?|\n")
 # the characters that make csv's default dialect quote a field
 _NEEDS_QUOTES = re.compile('[,"\r\n]')
+# zero bytes after a table's data, so 8 bytes can be read from any position
+_PAD = 8
+# bytes that may start or end a character str.isspace accepts: its ASCII
+# whitespace, and every byte of a multi-byte character
+_MAYBE_SPACE = np.array([chr(b).isspace() for b in range(128)] + [True] * 128)
+_LOW = np.array([(1 << 8 * k) - 1 for k in range(8)], dtype=np.uint64)
+# bytes that _decode gathers at once
+_DECODE_BYTES = 1 << 18
 
 
 @dataclass(frozen=True)
@@ -51,14 +65,16 @@ class DatasetBundle:
 
 
 class _Table:
-    """A delimited file parsed in one pass into columns.
+    """A delimited file parsed in one pass into byte ranges.
 
-    The file is read once as UTF-8 (a leading BOM is dropped) and its
-    delimiter detected from the header line: tab if present, otherwise
-    comma.  Data lines are tokenized all at once, by ``str.split`` when
-    the data contain no ``"`` and by :mod:`csv` otherwise; both give the
-    same fields, line numbers and field size limit, so the tokenizer never
-    changes which files load.  Blank lines are skipped.
+    The file is read once as bytes, checked to be UTF-8 (a leading BOM is
+    dropped) and its delimiter detected from the header line: tab if
+    present, otherwise comma.  Data lines are tokenized all at once into
+    the byte range of every field: by delimiter and line-end positions
+    when the data contain no ``"`` and by :mod:`csv` otherwise, whose
+    fields are joined into a new buffer.  Both give the same fields, line
+    numbers and field size limit, so the tokenizer never changes which
+    files load.  Blank lines are skipped.
 
     The table holds the ``rows`` data rows before the first bad one, and
     ``lines[i]`` is the line number of row ``i``.  A check that finds a bad
@@ -69,20 +85,25 @@ class _Table:
 
     def __init__(self, path):
         self.path = path
-        text = _decode(path, Path(path).read_bytes())
-        if not text:
+        raw = Path(path).read_bytes()
+        if raw.startswith(codecs.BOM_UTF8):
+            raw = raw[len(codecs.BOM_UTF8):]
+        _check_utf8(path, raw)
+        if not raw:
             raise ParseError(f"{path}: file is empty")
-        match = _LINE_END.search(text)
-        cut = match.end() if match else len(text)
-        delim = "\t" if "\t" in text[:cut] else ","
+        match = _LINE_END.search(raw)
+        cut = match.end() if match else len(raw)
+        line = raw[:cut].decode("utf-8")
+        delim = "\t" if "\t" in line else ","
         try:
-            header = next(csv.reader([text[:cut]], delimiter=delim))
+            header = next(csv.reader([line], delimiter=delim))
         except csv.Error as exc:
             raise ParseError(f"{path}: line 1: {exc}") from exc
         self.header = [c.strip() for c in header]
-        text = text[cut:]
-        tokenize = _csv_tokens if '"' in text else _split_tokens
-        tokens, counts, blank, stop, error = tokenize(text, delim)
+        data = raw[cut:]
+        del raw
+        tokenize = _csv_tokens if b'"' in data else _split_tokens
+        data, starts, ends, counts, blank, stop, error = tokenize(data, delim)
         k = len(self.header)
         ragged = np.flatnonzero(~blank[:stop] & (counts[:stop] != k))
         if ragged.size:
@@ -93,8 +114,10 @@ class _Table:
         self.lines = np.flatnonzero(~blank[:stop]) + 2
         self.rows = self.lines.size
         # rows before ``stop`` are well-formed, so the first ``rows * k``
-        # tokens are their fields, row after row
-        self._tokens = tokens
+        # fields are theirs, row after row
+        self._raw = data + bytes(_PAD)
+        self._buf = np.frombuffer(self._raw, dtype=np.uint8)
+        self._starts, self._ends = starts, ends
 
     def indexes(self, names):
         """Column index of each of ``names``."""
@@ -106,22 +129,35 @@ class _Table:
                 f"got {self.header}") from exc
 
     def column(self, i):
-        """The raw fields of column ``i``, one per row."""
+        """The raw fields of column ``i``, one str per row."""
         k = len(self.header)
-        return self._tokens[i:self.rows * k:k]
+        cut = slice(i, self.rows * k, k)
+        return _decode(self._raw, self._buf, self._starts[cut],
+                       self._ends[cut])
 
     def ids(self, columns):
-        """Whitespace-stripped identifier lists, one per column index.
+        """Each column's identifiers, whitespace-stripped and interned.
 
+        Returns one ``(ids, index)`` pair per column index: the distinct
+        ids in first-appearance order, and each row's index into them.
         Stops at the first row with an empty identifier.
         """
-        ids = [list(map(str.strip, self.column(i))) for i in columns]
-        empty = [col.index("") for col in ids if "" in col]
-        if empty:
-            row = min(empty)
-            self.reject(row, "empty identifier")
-            ids = [col[:row] for col in ids]
-        return ids
+        k = len(self.header)
+        cols = [_strip(self._raw, self._buf, self._starts[i:self.rows * k:k],
+                       self._ends[i:self.rows * k:k]) for i in columns]
+        empty = min((row for _, row in cols), default=self.rows)
+        if empty < self.rows:
+            self.reject(empty, "empty identifier")
+        interned = []
+        for fields, _ in cols:
+            if isinstance(fields, list):  # stripped by str.strip
+                interned.append(_intern(fields[:self.rows]))
+            else:
+                starts, ends = fields
+                interned.append(_intern_fields(self._raw, self._buf,
+                                               starts[:self.rows],
+                                               ends[:self.rows]))
+        return interned
 
     def reject(self, row, message):
         """Drop data row ``row`` and every row after it, failing at ``row``."""
@@ -135,11 +171,11 @@ class _Table:
             raise self.error
 
 
-def _decode(path, raw):
-    if raw.startswith(codecs.BOM_UTF8):
-        raw = raw[len(codecs.BOM_UTF8):]
+def _check_utf8(path, raw):
+    if raw.isascii():
+        return
     try:
-        return raw.decode("utf-8")
+        raw.decode("utf-8")
     except UnicodeDecodeError as exc:
         head = raw[:exc.start]
         line = (head.count(b"\n") + head.count(b"\r")
@@ -149,46 +185,145 @@ def _decode(path, raw):
 
 
 def _split_tokens(data, delim):
-    """Tokenize quote-free data lines with one ``str.split``.
+    """Tokenize quote-free data lines at delimiter and line-end bytes.
 
-    Returns the flat token list (blank lines yield none), the tokens per
-    line, which lines are blank, the number of lines read and the error
-    that stopped the read.  Line ends are ``\\r\\n``, ``\\r`` and ``\\n``,
-    as for :mod:`csv`.  Tokens are counted on the UTF-8 bytes, where the
-    delimiter and the line end are single bytes.
+    Returns the buffer tokenized (``data`` itself), each token's byte range
+    (blank lines yield none), the tokens per line, which lines are blank,
+    the number of lines read and the error that stopped the read.  Line
+    ends are ``\\r\\n``, ``\\r`` and ``\\n``, as for :mod:`csv`; in UTF-8
+    they and the delimiter are single bytes that no other character
+    contains.
     """
-    data = data.replace("\r\n", "\n").replace("\r", "\n")
-    raw = np.frombuffer(data.encode("utf-8"), dtype=np.uint8)
-    ends = np.append(np.flatnonzero(raw == ord("\n")), raw.size)
-    counts = np.diff(np.searchsorted(np.flatnonzero(raw == ord(delim)), ends),
-                     prepend=0) + 1
-    width = np.diff(ends, prepend=-1) - 1  # in bytes, so at least the chars
-    del raw, ends
-    stop, error = width.size, None
-    limit = csv.field_size_limit()
-    if (width > limit).any():
-        lines = data.split("\n")
-        for line in np.flatnonzero(width > limit):
-            if max(map(len, lines[line].split(delim))) > limit:
-                stop = int(line)
-                error = f"field larger than field limit ({limit})"
-                break
-    blank = width == 0
+    raw = np.frombuffer(data, dtype=np.uint8)
+    sep = raw == ord(delim)
+    sep |= raw == ord("\n")
+    cr = np.flatnonzero(raw == ord("\r"))
+    sep[cr] = True
+    crlf = cr[raw[np.minimum(cr + 1, raw.size - 1)] == ord("\n")]
+    sep[crlf + 1] = False  # the "\n" of a "\r\n" ends no token
+    ends = np.append(np.flatnonzero(sep), raw.size)
+    del sep
+    line_end = np.append(raw[ends[:-1]] != ord(delim), True)
+    starts = np.insert(ends[:-1] + 1, 0, 0)
+    starts[np.searchsorted(ends, crlf) + 1] += 1
+    del raw
+    last = np.flatnonzero(line_end)  # each line's last token
+    counts = np.diff(last, prepend=-1)
+    blank = ends[last] == starts[last - counts + 1]
     if blank[:-1].any():
-        data = _BLANK_LINES.sub("\n", data).lstrip("\n")
-    return data.replace("\n", delim).split(delim), counts, blank, stop, error
+        starts, ends = (a[np.repeat(~blank, counts)] for a in (starts, ends))
+        last = np.cumsum(counts * ~blank) - 1
+    stop, error = last.size, None
+    limit = csv.field_size_limit()
+    for token in np.flatnonzero(ends - starts > limit):  # bytes >= chars
+        if len(data[starts[token]:ends[token]].decode("utf-8")) > limit:
+            stop = int(np.searchsorted(last, token))
+            error = f"field larger than field limit ({limit})"
+            break
+    return data, starts, ends, counts, blank, stop, error
 
 
 def _csv_tokens(data, delim):
-    """Tokenize with :mod:`csv`; returns what :func:`_split_tokens` does."""
+    """Tokenize with :mod:`csv`; returns what :func:`_split_tokens` does.
+
+    The buffer returned is every field's UTF-8 bytes, back to back.
+    """
     rows, error = [], None
     try:
-        rows.extend(csv.reader(io.StringIO(data, newline=""), delimiter=delim))
+        rows.extend(csv.reader(io.StringIO(data.decode("utf-8"), newline=""),
+                               delimiter=delim))
     except csv.Error as exc:
         error = str(exc)
     counts = np.fromiter(map(len, rows), dtype=np.intp, count=len(rows))
-    return (list(chain.from_iterable(rows)), counts, counts == 0, len(rows),
-            error)
+    fields = list(chain.from_iterable(rows))
+    joined = "".join(fields)
+    if not joined.isascii():
+        fields = map(str.encode, fields)
+    sizes = np.fromiter(map(len, fields), dtype=np.intp, count=counts.sum())
+    ends = np.cumsum(sizes)
+    return (joined.encode("utf-8"), ends - sizes, ends, counts, counts == 0,
+            len(rows), error)
+
+
+def _strip(raw, buf, starts, ends):
+    """The fields ``raw[starts[i]:ends[i]]`` as ``str.strip`` leaves them.
+
+    Returns the fields and the row of the first empty one (the row count if
+    none is).  While no field starts or ends with a byte of a possible
+    whitespace character, the fields stay byte ranges, ``(starts, ends)``;
+    otherwise they are decoded and stripped by ``str.strip``, a list of str.
+    """
+    full = starts < ends
+    if (full & (_MAYBE_SPACE[buf[starts]] | _MAYBE_SPACE[buf[ends - 1]])
+            ).any():
+        texts = [text.strip() for text in _decode(raw, buf, starts, ends)]
+        return texts, texts.index("") if "" in texts else len(texts)
+    return (starts, ends), full.size if full.all() else int(np.argmin(full))
+
+
+def _intern_fields(raw, buf, starts, ends):
+    """Group equal fields of ``raw``: ``(distinct ids, each field's index)``.
+
+    Ids are numbered by first appearance.  Fields under 8 bytes are grouped
+    by sorting one exact 64-bit key each, their bytes and length, and each
+    distinct id is decoded once; a column holding a longer field is decoded
+    whole and grouped by a dict.
+    """
+    lens = ends - starts
+    if lens.max(initial=0) >= 8:
+        return _intern(_decode(raw, buf, starts, ends))
+    words = np.ndarray((buf.size - _PAD + 1,), dtype="<u8", buffer=buf,
+                       strides=(1,))  # the 8 bytes from each position on
+    key = words[starts]
+    key &= _LOW[lens]
+    key |= lens.astype(np.uint64) << np.uint64(56)
+    del lens
+    order = np.argsort(key)
+    key = key[order]
+    head = np.ones(key.size, dtype=bool)
+    np.not_equal(key[1:], key[:-1], out=head[1:])
+    del key
+    first = (np.minimum.reduceat(order, np.flatnonzero(head)) if order.size
+             else order)  # each group's first field
+    group = np.empty(order.size, dtype=np.intp)
+    group[order] = np.cumsum(head) - 1
+    order = np.argsort(first)  # groups by first appearance
+    rank = np.empty(order.size, dtype=np.intp)
+    rank[order] = np.arange(order.size)
+    first = first[order]
+    return _decode(raw, buf, starts[first], ends[first]), rank[group]
+
+
+def _decode(raw, buf, starts, ends):
+    """The fields ``raw[starts[i]:ends[i]]`` as a list of str.
+
+    About ``_DECODE_BYTES`` at a time, the fields are copied back to back
+    with a newline after each and split after one decode, unless a field
+    holds a newline (only a quoted one can).
+    """
+    slots = np.cumsum(ends - starts + 1)  # bytes through each field's "\n"
+    cuts = np.searchsorted(slots, np.arange(
+        _DECODE_BYTES, slots[-1] if slots.size else 0, _DECODE_BYTES))
+    del slots
+    texts = []
+    for s, e in zip(np.split(starts, cuts), np.split(ends, cuts)):
+        texts += _decode_joined(raw, buf, s, e)
+    return texts
+
+
+def _decode_joined(raw, buf, starts, ends):
+    lens = ends - starts
+    if not lens.size:
+        return []
+    slots = np.cumsum(lens + 1)  # where each field's "\n" goes, plus 1
+    joined = buf[np.arange(slots[-1]) - np.repeat(slots - lens - 1 - starts,
+                                                  lens + 1)]
+    joined[slots - 1] = 0
+    if (joined == ord("\n")).any():
+        return [raw[s:e].decode("utf-8")
+                for s, e in zip(starts.tolist(), ends.tolist())]
+    joined[slots - 1] = ord("\n")
+    return joined[:-1].tobytes().decode("utf-8").split("\n")
 
 
 def _read_ids(path, columns):
@@ -198,6 +333,12 @@ def _read_ids(path, columns):
     return ids
 
 
+def _first_rows(index):
+    """The row where each id of an interned column first appears."""
+    seen = np.maximum.accumulate(index)  # ids are numbered by first row
+    return np.flatnonzero(np.diff(seen, prepend=-1))
+
+
 def load_incidence(path, node_universe=None) -> tuple[Hypergraph, IdMaps]:
     """Load a ``nodeId,edgeId`` incidence file.
 
@@ -205,8 +346,10 @@ def load_incidence(path, node_universe=None) -> tuple[Hypergraph, IdMaps]:
     optional iterable of node identifiers, is interned ahead of the file
     contents so label-only isolated nodes exist with degree 0.
     """
-    pairs = np.array(_read_ids(path, ("nodeId", "edgeId")), dtype=object).T
-    return build_hypergraph(pairs, node_universe=node_universe)
+    (node_ids, nodes), (edge_ids, edges) = _read_ids(path,
+                                                     ("nodeId", "edgeId"))
+    return build_hypergraph(InternedPairs(node_ids, nodes, edge_ids, edges),
+                            node_universe=node_universe)
 
 
 def read_labels(path):
@@ -219,24 +362,23 @@ def read_labels(path):
     lexicographic one otherwise.  A repeated row is ignored; a node
     labeled twice with different values raises :class:`ParseError`.
     """
-    node_ids, labels = _read_ids(path, ("nodeId", "label"))
-    seen: dict[str, str] = {}
-    firsts = list(map(seen.setdefault, node_ids, labels))
-    if firsts != labels:
-        row = next(i for i, (a, b) in enumerate(zip(firsts, labels))
-                   if a != b)
+    (node_ids, nodes), (values, labels) = _read_ids(path, ("nodeId", "label"))
+    firsts = labels[_first_rows(nodes)]
+    clash = np.flatnonzero(firsts[nodes] != labels)
+    if clash.size:
+        row = clash[0]
         raise ParseError(
-            f"{path}: node {node_ids[row]!r} labeled both "
-            f"{firsts[row]!r} and {labels[row]!r}")
-    class_names = sorted(set(seen.values()))
+            f"{path}: node {node_ids[nodes[row]]!r} labeled both "
+            f"{values[firsts[nodes[row]]]!r} and {values[labels[row]]!r}")
+    class_names = sorted(values)
     try:
         class_names.sort(key=int)
     except ValueError:
         pass
     class_id = dict(zip(class_names, count()))
-    dense = np.fromiter(map(class_id.__getitem__, seen.values()),
-                        dtype=np.int64, count=len(seen))
-    return list(seen), dense, tuple(class_names)
+    dense = np.fromiter(map(class_id.__getitem__, values), dtype=np.int64,
+                        count=len(values))
+    return node_ids, dense[firsts], tuple(class_names)
 
 
 def load_labels(path, id_maps: IdMaps):
@@ -248,12 +390,13 @@ def load_labels(path, id_maps: IdMaps):
     dense class ids back to the original label values.
     """
     node_ids, classes, class_names = read_labels(path)
+    at = id_maps.node_ids.lookup(node_ids)
+    unknown = np.flatnonzero(at < 0)
+    if unknown.size:
+        raise UnknownNodeError(
+            f"{path}: label for unknown node {node_ids[unknown[0]]!r}")
     labels = np.full(len(id_maps.node_ids), -1, dtype=np.int64)
-    for node_id, c in zip(node_ids, classes):
-        if node_id not in id_maps.node_ids:
-            raise UnknownNodeError(
-                f"{path}: label for unknown node {node_id!r}")
-        labels[id_maps.node_ids.index_of(node_id)] = c
+    labels[at] = classes
     if (labels < 0).any():
         missing = id_maps.node_ids.id_of(int(np.argmin(labels)))
         raise MissingLabelError(f"node {missing!r} has no label in {path}")
@@ -290,14 +433,11 @@ def load_signal(path):
     value_cols = [i for i in range(len(table.header)) if i != node_col]
     if not value_cols:
         raise MissingColumnError(f"{path}: no signal columns besides nodeId")
-    (ids,) = table.ids([node_col])
-    first_row: dict[str, int] = {}
-    first = np.fromiter(map(first_row.setdefault, ids, count()),
-                        dtype=np.intp, count=len(ids))
-    repeats = np.flatnonzero(first != np.arange(len(ids)))
+    ((ids, index),) = table.ids([node_col])
+    repeats = np.flatnonzero(index != np.arange(index.size))
     if repeats.size:
-        row = int(repeats[0])
-        table.reject(row, f"duplicate node {ids[row]!r}")
+        row = int(repeats[0])  # every row before it holds a new id
+        table.reject(row, f"duplicate node {ids[index[row]]!r}")
         ids = ids[:row]
     columns = [table.column(i) for i in value_cols]
     try:

@@ -93,6 +93,11 @@ class TestIdMap:
         with pytest.raises(KeyError):
             im.index_of("missing")
 
+    def test_bulk_lookup(self):
+        im = IdMap(["a", "b", "a"])
+        assert im.lookup(["b", "missing", "a", "b"]).tolist() == [1, -1, 0, 1]
+        assert im.lookup([]).dtype == np.intp
+
 
 class TestStructureInvariants:
     def test_transpose_round_trip(self):

@@ -5,11 +5,12 @@ structure, identifier order and labels as the row-by-row oracle in
 ``oracles.py``, or fails with the same error type and message (which
 carries the line number).  Files mix duplicates, label-only nodes,
 unicode ids (vertical tab, NEL and the line separator among them, which
-``str.splitlines`` would split on and csv does not), quoted ids holding
-the delimiter, quotes or line ends, a BOM, tab or comma delimiters,
-``\\n``/``\\r\\n``/``\\r`` line ends, blank lines, a missing final newline,
-ragged rows, empty ids and, under a lowered csv field size limit,
-over-long fields.
+``str.splitlines`` would split on and csv does not), ids of 9 to 40 bytes
+sharing long prefixes, ids with an embedded or trailing NUL (``"a"`` and
+``"a\\x00"`` are two ids), quoted ids holding the delimiter, quotes or
+line ends, a BOM, tab or comma delimiters, ``\\n``/``\\r\\n``/``\\r``
+line ends, blank lines, a missing final newline, ragged rows, empty ids
+and, under a lowered csv field size limit, over-long fields.
 """
 
 import contextlib
@@ -25,12 +26,19 @@ from hyperprop.io import read_labels
 from oracles import row_load_incidence, row_read_labels
 
 SPACE = ["\x0b", "\x85", "\u2028", " ", "\t", "\r", "\n"]
-CORE = st.sampled_from(list("ab7é,\"") + SPACE)
+CORE = st.sampled_from(list("ab7é,\"\x00") + SPACE)
+# long shared prefixes: ids then differ only after byte 8, 16 or more, and
+# "a"*7 + "é" puts a two-byte character across the first 8-byte boundary
+PREFIXES = ["a" * 8, "a" * 16, "a" * 7 + "é", "éé" * 4, "ab" * 12, "x" * 36]
 IDS = st.builds(
     lambda pad, core, tail: pad + core + tail,
     st.text(st.sampled_from(SPACE), max_size=2),
     st.one_of(st.text(CORE, min_size=1, max_size=2),  # short ids repeat
-              st.text(CORE, min_size=1, max_size=6)).filter(str.strip),
+              st.text(CORE, min_size=1, max_size=6),
+              st.builds(str.__add__, st.sampled_from(PREFIXES),  # 9-40 bytes
+                        st.text(CORE, min_size=1, max_size=2)),
+              st.sampled_from(["a", "a\x00", "a\x00\x00", "\x00a"]),
+              ).filter(str.strip),
     st.text(st.sampled_from(SPACE), max_size=2))
 BLANK_IDS = st.text(st.sampled_from(SPACE), max_size=2)
 LABELS = st.sampled_from(["0", "1", "10", " 2", "02", "x", "b,c"])

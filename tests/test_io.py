@@ -1,6 +1,8 @@
 import csv
 import io
 import json
+import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -11,6 +13,7 @@ from hyperprop import (MetricCell, MetricReport, MissingColumnError,
                        load_incidence, load_labels, load_signal, write_report,
                        write_signal)
 from hyperprop.io import canonical_json_bytes, read_labels, report_to_dict
+from oracles import row_load_incidence
 
 INCIDENCE = "nodeId,edgeId\na,e1\nb,e1\nb,e2\nc,e2\n"
 LABELS = "nodeId,label\na,art\nb,bio\nc,art\n"
@@ -143,6 +146,8 @@ class TestColumnarReader:
 
     @pytest.mark.parametrize("text, message", [
         ("a,e1\n , e2\nb\n", "line 3: empty identifier"),
+        ("a,e1\nb,\n,e2\n", "line 3: empty identifier"),  # the earlier
+        ("a,e1\nb, \n,e2\n", "line 3: empty identifier"),  # of two columns
         ("a,e1\nb\n , e2\n", "line 3: expected 2 fields, got 1"),
         ("a,e1\nb,e1,x\n", "line 3: expected 2 fields, got 3"),
     ])
@@ -151,6 +156,77 @@ class TestColumnarReader:
         path.write_text("nodeId,edgeId\n" + text)
         with pytest.raises(ParseError, match=message):
             load_incidence(path)
+
+    @pytest.mark.parametrize("quoted", [False, True])
+    def test_every_str_isspace_character_is_stripped(self, tmp_path, quoted):
+        spaces = [chr(i) for i in range(sys.maxunicode + 1)
+                  if chr(i).isspace()]
+        if not quoted:  # line ends can only pad a quoted id
+            spaces = [c for c in spaces if c not in "\r\n"]
+        rows = []
+        for i, c in enumerate(spaces):
+            rows += [f"n{i}", c + f"n{i}", f"n{i}" + c, c + f"n{i}" + c,
+                     c + " \t" + f"n{i}" + "\x0b" + c, f"n{i}{c}x"]
+        field = (lambda v: '"' + v + '"') if quoted else (lambda v: v)
+        path = tmp_path / "spaces.csv"
+        path.write_text("nodeId,edgeId\n" + "".join(
+            f"{field(v)},e{j % 3}\n" for j, v in enumerate(rows)),
+            encoding="utf-8", newline="")
+        _, maps = load_incidence(path)
+        assert maps.node_ids.ids == tuple(dict.fromkeys(v.strip()
+                                                        for v in rows))
+        _, node_ids, _ = row_load_incidence(path)
+        assert maps.node_ids.ids == node_ids
+        for c in spaces:  # an id of whitespace alone is empty
+            path.write_text(f"nodeId,edgeId\na,e\n{field(c)},e\n",
+                            encoding="utf-8", newline="")
+            with pytest.raises(ParseError, match="line 3: empty identifier"):
+                load_incidence(path)
+
+    def test_long_id_among_many_rows_in_memory_bounded_by_bytes(
+            self, tmp_path):
+        long_id = "é" + "x" * 99_998 + "é"  # 100,000 characters
+        rows = [f"p{i % 20_000},a{i % 3_000}" for i in range(50_000)]
+        rows[30_000:30_000] = [f"{long_id},a7", f"p5,{long_id}",
+                               f" {long_id} ,a8"]
+        path = tmp_path / "long.csv"
+        path.write_text("nodeId,edgeId\n" + "\n".join(rows) + "\n",
+                        encoding="utf-8")
+        tracemalloc.start()
+        try:
+            h, maps = load_incidence(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # a rows x longest-id layout would need 50,000 x 100,000 bytes
+        assert peak < 16 * 2**20
+        h_ref, node_ids, edge_ids = row_load_incidence(path)
+        assert maps.node_ids.ids == node_ids
+        assert maps.edge_ids.ids == edge_ids
+        assert long_id in node_ids and long_id in edge_ids
+        for name in ("node_ptr", "node_adj", "edge_ptr", "edge_adj"):
+            assert np.array_equal(getattr(h, name), getattr(h_ref, name))
+
+    @pytest.mark.parametrize("rows", [
+        [f"{'a' * k},e{k % 3}" for k in (7, 8, 9, 16, 17, 8, 9)]
+        + ["bbbbbbbb,e1", "aaaaaaaaé,e1", "aaaaaaa,e2"],  # lengths differ
+        ["aaaaaaaax,e1", "aaaaaaaay,e2", "aaaaaaaax,e3"],  # same length
+        ['"aaaaaaaa",bbb', '"aaaaaaaab",e'],  # the first id is followed by
+        # the "b" the second ends with in the csv tokenizer's buffer
+        [f"{'z' * 70}{c},e" for c in "1212"],
+        ["aaaaaaaa,e", "aaaaaaab,e", "a,e", "aaaaaaaa,e"],  # 8 at most
+        ["a,e", "a\x00,e", "\x00a,e", "a\x00\x00,e", "\x00,e", "a,e"],
+        ["a,e", "a\x00,e", "a\x00\x00\x00\x00\x00\x00\x00\x00,e", "a,e"],
+    ])
+    def test_ids_group_exactly(self, tmp_path, rows):
+        path = tmp_path / "long.csv"
+        path.write_text("nodeId,edgeId\n" + "\n".join(rows) + "\n",
+                        encoding="utf-8")
+        h, maps = load_incidence(path)
+        h_ref, node_ids, edge_ids = row_load_incidence(path)
+        assert maps.node_ids.ids == node_ids
+        assert maps.edge_ids.ids == edge_ids
+        assert np.array_equal(h.node_adj, h_ref.node_adj)
 
     def test_ragged_row_wins_over_a_later_label_conflict(self, tmp_path):
         path = tmp_path / "labels.csv"
@@ -187,6 +263,23 @@ class TestLoadLabels:
         _, maps = load_incidence(incidence_file)
         with pytest.raises(UnknownNodeError):
             load_labels(path, maps)
+
+    def test_first_unknown_node_in_file_order_named(self, incidence_file,
+                                                    tmp_path):
+        path = tmp_path / "extra.csv"
+        path.write_text("nodeId,label\na,art\nz,bio\nb,bio\ny,art\nc,art\n")
+        _, maps = load_incidence(incidence_file)
+        with pytest.raises(UnknownNodeError) as info:
+            load_labels(path, maps)
+        assert str(info.value) == f"{path}: label for unknown node 'z'"
+
+    def test_lowest_unlabeled_index_named(self, incidence_file, tmp_path):
+        path = tmp_path / "partial.csv"
+        path.write_text("nodeId,label\nb,bio\n")  # a and c unlabeled
+        _, maps = load_incidence(incidence_file)
+        with pytest.raises(MissingLabelError) as info:
+            load_labels(path, maps)
+        assert str(info.value) == f"node 'a' has no label in {path}"
 
     def test_unlabeled_node_rejected(self, incidence_file, tmp_path):
         path = tmp_path / "partial.csv"
