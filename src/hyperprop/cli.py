@@ -27,7 +27,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import HyperpropError
+from .errors import HyperpropError, ParseError
 from .evaluation import TaskSpec, run_classification, run_retrieval
 from .hypergraph import random_hypergraph
 from .io import (canonical_json_bytes, load_dataset, load_incidence,
@@ -107,6 +107,8 @@ def cmd_propagate(args) -> int:
         ids, values = load_signal(args.signal)
     elif args.labels is not None:
         ids, classes, class_names = read_labels(args.labels)
+        if not ids:
+            raise ParseError(f"{args.labels}: no label rows")
         values = np.zeros((len(ids), len(class_names)))
         values[np.arange(len(ids)), classes] = 1.0
     else:

@@ -21,11 +21,14 @@ A (class, fold) pair is one cell of the report.  The harness works in
 (fold, class block) units: for one fold, a block of classes is scored
 together as the columns of one signal matrix, with one propagation (or
 one batched Naive Bayes fit and score) and one column-wise metric pass.
-Every column gets the value it would get alone.  A block holds as many
-classes as fit one ``n_nodes x block`` float64 matrix in
-``_BLOCK_BYTES``.  Units are independent: the harness can run them on a
-thread pool, and results are identical for any worker count and block
-size.  A cell's ``micros`` is its equal share of its block's method time.
+Every column gets the value it would get alone.  Classification reads
+only the test rows of a propagation, so the last layer is computed for
+those rows alone (``propagate(..., nodes=)``); retrieval ranks most rows
+and propagates all of them.  A block holds as many classes as fit one
+``n_nodes x block`` float64 matrix in ``_BLOCK_BYTES``.  Units are
+independent: the harness can run them on a thread pool, and results are
+identical for any worker count and block size.  A cell's ``micros`` is
+its equal share of its block's method time.
 """
 
 from __future__ import annotations
@@ -122,8 +125,9 @@ class TaskSpec:
             raise InvalidConfigError("n_folds must be >= 2")
         if self.top_k < 1:
             raise InvalidConfigError("top_k must be >= 1")
-        if self.smoothing < 0:
-            raise InvalidConfigError("smoothing must be >= 0")
+        if not np.isfinite(self.smoothing) or self.smoothing < 0:
+            raise InvalidConfigError(
+                f"smoothing must be finite and >= 0, got {self.smoothing}")
 
     @property
     def metric_name(self) -> str:
@@ -218,17 +222,17 @@ def _skip_reasons(y, fold_mask, task) -> list:
 
 def _classification_block(h, y, test_mask, task):
     """ROC-AUC per class column of ``y`` with ``test_mask`` hidden."""
+    test_idx = np.flatnonzero(test_mask)
     if task.method == "propagation":
-        x0 = np.where(~test_mask[:, None] & y, 1.0, 0.0)
+        x0 = (~test_mask[:, None] & y).astype(np.float64)
         t0 = time.perf_counter()
-        scores = propagate(h, x0, task.propagation)
+        scores = propagate(h, x0, task.propagation, nodes=test_idx)
         micros = (time.perf_counter() - t0) * 1e6
-        scores = scores[test_mask]
     else:
         train_idx = np.flatnonzero(~test_mask)
         t0 = time.perf_counter()
         model = fit_naive_bayes(h, train_idx, y[train_idx], task.smoothing)
-        scores = naive_bayes_log_odds(model, h, np.flatnonzero(test_mask))
+        scores = naive_bayes_log_odds(model, h, test_idx)
         micros = (time.perf_counter() - t0) * 1e6
     return roc_auc(scores, y[test_mask]), micros
 

@@ -29,7 +29,7 @@ from typing import Hashable, Iterable
 import numpy as np
 import scipy.sparse as sp
 
-from .errors import EmptyGraphError
+from .errors import EmptyGraphError, ShapeError
 
 
 class IdMap:
@@ -103,12 +103,14 @@ class Hypergraph:
     edge_ptr, edge_adj : 1-D integer arrays
         CSR layout of the hyperedge -> node view, same convention.
 
-    The only storage is two scipy CSR matrices built from the validated
-    arrays, :attr:`node_edge_matrix` (``H``) and :attr:`edge_node_matrix`
-    (``H^T``), sharing one float64 buffer of ones as values.  The four
-    array attributes read their ``indptr``/``indices`` back, in the index
-    dtype scipy picks (int32 when the sizes fit).  Integer arrays are
-    taken over, not copied, and made read-only.
+    The incidence is stored once, as two scipy CSR matrices built from the
+    validated arrays, :attr:`node_edge_matrix` (``H``) and
+    :attr:`edge_node_matrix` (``H^T``), sharing one float64 buffer of ones
+    as values.  The four array attributes read their ``indptr``/``indices``
+    back, in the index dtype scipy picks (int32 when the sizes fit).
+    Integer arrays are taken over, not copied, and made read-only.  The
+    degree arrays are computed once, at construction, and each power of
+    ``D^-1`` once, on first use (:meth:`inv_node_degree`).
 
     Incidence is binary: a given (node, edge) pair is stored at most once.
     Every hyperedge has at least one member node; isolated nodes (degree 0)
@@ -118,6 +120,9 @@ class Hypergraph:
 
     node_edge_matrix: sp.csr_matrix
     edge_node_matrix: sp.csr_matrix
+    node_degree: np.ndarray  # edges per node: the diagonal of D
+    edge_degree: np.ndarray  # member nodes per edge: the diagonal of B
+    _inv_degree: dict  # power -> D^-power column, filled on first use
 
     def __init__(self, node_ptr, node_adj, edge_ptr, edge_adj):
         arrays = [np.asarray(a) for a in (node_ptr, node_adj, edge_ptr, edge_adj)]
@@ -139,6 +144,11 @@ class Hypergraph:
             for arr in (matrix.data, matrix.indices, matrix.indptr):
                 arr.setflags(write=False)
             object.__setattr__(self, name, matrix)
+        object.__setattr__(self, "node_degree",
+                           _read_only(np.diff(self.node_ptr)))
+        object.__setattr__(self, "edge_degree",
+                           _read_only(np.diff(self.edge_ptr)))
+        object.__setattr__(self, "_inv_degree", {})
 
     # -- storage views ----------------------------------------------------
 
@@ -177,15 +187,21 @@ class Hypergraph:
         """Number of (node, edge) incidences; equals both degree sums."""
         return self.node_adj.size
 
-    @property
-    def node_degree(self) -> np.ndarray:
-        """Number of hyperedges incident to each node (diagonal of D)."""
-        return _read_only(np.diff(self.node_ptr))
+    def inv_node_degree(self, power: float = 1.0) -> np.ndarray:
+        """``deg(u)^-power`` per node as a read-only ``(n_nodes, 1)`` column.
 
-    @property
-    def edge_degree(self) -> np.ndarray:
-        """Number of member nodes of each hyperedge (diagonal of B)."""
-        return _read_only(np.diff(self.edge_ptr))
+        Isolated nodes get 0 (the pseudo-inverse convention ``1/0 := 0``),
+        so they send and receive nothing through ``D^-power``.  Computed
+        once per graph and power; threads racing on the first call compute
+        equal arrays and keep one of them.
+        """
+        scale = self._inv_degree.get(power)
+        if scale is None:
+            deg = self.node_degree.astype(np.float64)
+            inv = np.zeros_like(deg)
+            np.divide(1.0, deg**power, out=inv, where=deg > 0)
+            scale = self._inv_degree.setdefault(power, _read_only(inv[:, None]))
+        return scale
 
     # -- traversal --------------------------------------------------------
 
@@ -204,6 +220,23 @@ class Hypergraph:
 
 def _read_only(arr: np.ndarray) -> np.ndarray:
     arr.setflags(write=False)
+    return arr
+
+
+def _check_nodes(nodes, h: Hypergraph) -> np.ndarray:
+    """``nodes`` as an int64 array of node ids in ``[0, n_nodes)``.
+
+    Raises :class:`ShapeError` for a non-integer array, such as a boolean
+    mask (numpy would read it as ids 0 and 1), and for an id outside the
+    range (numpy would wrap a negative id or raise ``IndexError``).
+    """
+    arr = np.asarray(nodes)
+    if arr.size and arr.dtype.kind not in "iu":
+        raise ShapeError(f"node ids must be integers, got dtype {arr.dtype}")
+    arr = arr.astype(np.int64, copy=False)
+    bad = (arr < 0) | (arr >= h.n_nodes)
+    if bad.any():
+        raise ShapeError(f"node id {arr[bad][0]} outside [0, {h.n_nodes})")
     return arr
 
 

@@ -11,7 +11,6 @@ that column passed alone.
 from __future__ import annotations
 
 import numpy as np
-from scipy.stats import rankdata
 
 from .errors import DegenerateLabelsError, ShapeError
 
@@ -44,8 +43,11 @@ def roc_auc(scores, labels):
     """Area under the ROC curve, Mann-Whitney formulation.
 
     The probability that a uniformly random positive outranks a uniformly
-    random negative, with ties counting one half.  Computed via average
-    ranks in O(n log n), for every column at once when 2-D.
+    random negative, with ties counting one half.  Computed from the rank
+    sum of the positives in O(n log n): each column is sorted once, and a
+    positive scoring ``v`` has average rank ``(#(s < v) + #(s <= v) + 1)
+    / 2``, both counts found by binary search in the sorted column.  The
+    rank sum is a half-integer, so it is exact.
 
     Raises
     ------
@@ -57,8 +59,15 @@ def roc_auc(scores, labels):
     n_neg = y2.shape[0] - n_pos
     if not (n_pos.all() and n_neg.all()):
         raise DegenerateLabelsError("ROC-AUC needs both classes present")
-    # average ranks are half-integers, so the sum is exact in any order
-    rank_sum = (rankdata(s2, axis=0) * y2).sum(axis=0)
+    ranked = s2.T.copy()  # one contiguous sorted row per column
+    ranked.sort(axis=1)
+
+    def twice_rank_sum(j):
+        pos = s2[y2[:, j], j]
+        return (np.searchsorted(ranked[j], pos, "left").sum()
+                + np.searchsorted(ranked[j], pos, "right").sum() + pos.size)
+
+    rank_sum = np.array([twice_rank_sum(j) for j in range(s2.shape[1])]) / 2.0
     return _per_ranking((rank_sum - n_pos * (n_pos + 1) / 2.0)
                         / (n_pos * n_neg), scores)
 

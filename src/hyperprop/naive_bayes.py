@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import MissingClassError, ShapeError
-from .hypergraph import Hypergraph
+from .hypergraph import Hypergraph, _check_nodes
 
 
 @dataclass(frozen=True, eq=False)
@@ -64,7 +64,7 @@ def fit_naive_bayes(h: Hypergraph, train_nodes, train_labels,
         2-D array of shape ``(len(train_nodes), d)`` fits a batch of
         ``d`` models, one per column; ``-1`` leaves a node out of that
         column's training set.
-    smoothing : float, >= 0
+    smoothing : float, finite and >= 0
         Additive smoothing constant applied per feature (default 1.0).
 
     Raises
@@ -72,9 +72,10 @@ def fit_naive_bayes(h: Hypergraph, train_nodes, train_labels,
     MissingClassError
         If either class has no training node (in any column).
     ShapeError
-        If a training node id lies outside ``[0, h.n_nodes)``.
+        If the training node ids are not integers or one lies outside
+        ``[0, h.n_nodes)``.
     """
-    train_nodes = np.asarray(train_nodes, dtype=np.int64)
+    train_nodes = _check_nodes(train_nodes, h)
     train_labels = np.asarray(train_labels)
     if (train_nodes.ndim != 1 or train_labels.ndim not in (1, 2)
             or train_labels.shape[0] != train_nodes.size):
@@ -82,15 +83,14 @@ def fit_naive_bayes(h: Hypergraph, train_nodes, train_labels,
                          "entry of the 1-D train_nodes")
     if train_nodes.size == 0:
         raise MissingClassError("training set is empty")
-    _check_nodes(train_nodes, h)
     allowed = (train_labels == 0) | (train_labels == 1)
     if train_labels.ndim == 2:
         allowed |= train_labels == -1
     if not allowed.all():
         raise ValueError("train_labels must be binary (0/1), or -1/0/1 "
                          "when 2-D")
-    if smoothing < 0:
-        raise ValueError("smoothing must be >= 0")
+    if not np.isfinite(smoothing) or smoothing < 0:
+        raise ValueError(f"smoothing must be finite and >= 0, got {smoothing}")
 
     columns = train_labels.reshape(train_nodes.size, -1)
     # edge x training-entry incidence: a node listed twice counts twice
@@ -116,14 +116,6 @@ def fit_naive_bayes(h: Hypergraph, train_nodes, train_labels,
                            smoothing=float(smoothing))
 
 
-def _check_nodes(nodes: np.ndarray, h: Hypergraph) -> None:
-    """Reject node ids outside ``[0, n_nodes)``; numpy would wrap or raise."""
-    bad = (nodes < 0) | (nodes >= h.n_nodes)
-    if bad.any():
-        raise ShapeError(f"node id {nodes[bad][0]} outside "
-                         f"[0, {h.n_nodes})")
-
-
 def naive_bayes_log_odds(model: NaiveBayesModel, h: Hypergraph,
                          nodes=None) -> np.ndarray:
     """Log-posterior-odds of the positive class for the given nodes.
@@ -147,8 +139,8 @@ def naive_bayes_log_odds(model: NaiveBayesModel, h: Hypergraph,
     Raises
     ------
     ShapeError
-        If the model was fitted on a different edge universe, or a node id
-        lies outside ``[0, h.n_nodes)``.
+        If the model was fitted on a different edge universe, or ``nodes``
+        is not an integer array or holds an id outside ``[0, h.n_nodes)``.
     """
     if model.n_features != h.n_edges:
         raise ShapeError(
@@ -162,9 +154,7 @@ def naive_bayes_log_odds(model: NaiveBayesModel, h: Hypergraph,
     prior = model.class_log_prior[1] - model.class_log_prior[0]
     incidence = h.node_edge_matrix
     if nodes is not None:
-        nodes = np.asarray(nodes, dtype=np.int64)
-        _check_nodes(nodes, h)
-        incidence = incidence[nodes]
+        incidence = incidence[_check_nodes(nodes, h)]
     scores = incidence @ ratio
     scores += prior
     return scores

@@ -20,7 +20,8 @@ computed as two sparse passes, never materializing the ``n x n`` kernel
     the hypergraph form of classic label propagation; ``a = 1/2`` reduces
     to the ``row`` variant.
 
-Degree reciprocals follow the pseudo-inverse convention ``1/0 := 0``, so
+Degree reciprocals follow the pseudo-inverse convention ``1/0 := 0``
+(:meth:`Hypergraph.inv_node_degree`, computed once per graph), so
 isolated nodes send and receive nothing through the kernel: their rows
 stay 0 under ``row``/``column``/``symmetric``, while the ``alpha``
 residual term keeps ``(1 - 2a) * x`` there.
@@ -37,7 +38,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .errors import InvalidConfigError, ShapeError, SizeGuardError
-from .hypergraph import Hypergraph
+from .hypergraph import Hypergraph, _check_nodes
 
 VARIANTS = ("row", "column", "symmetric", "alpha")
 
@@ -102,14 +103,6 @@ _LAYER_SHAPES = {
 }
 
 
-def _inv_node_degree(h: Hypergraph, power: float = 1.0) -> np.ndarray:
-    """``deg(u)^-power`` with the 1/0 := 0 convention, as a column."""
-    deg = h.node_degree.astype(np.float64)
-    inv = np.zeros_like(deg)
-    np.divide(1.0, deg**power, out=inv, where=deg > 0)
-    return inv[:, None]
-
-
 def _edge_mean(h: Hypergraph, x2: np.ndarray) -> np.ndarray:
     r = h.edge_node_matrix @ x2
     r /= h.edge_degree[:, None]
@@ -148,7 +141,7 @@ def node_average(h: Hypergraph, r) -> np.ndarray:
     r : array of shape (n_edges,) or (n_edges, d)
     """
     r2, was_1d = _as_signal(r, h.n_edges, "edge")
-    out = _inv_node_degree(h) * (h.node_edge_matrix @ r2)
+    out = h.inv_node_degree() * (h.node_edge_matrix @ r2)
     return out[:, 0] if was_1d else out
 
 
@@ -163,20 +156,46 @@ def propagate_layer(h: Hypergraph, x, config: PropagationConfig | None = None) -
     return propagate(h, x, replace(config or PropagationConfig(), layers=1))
 
 
-def propagate(h: Hypergraph, x, config: PropagationConfig) -> np.ndarray:
+def propagate(h: Hypergraph, x, config: PropagationConfig,
+              nodes=None) -> np.ndarray:
     """Apply ``config.layers`` propagation layers to an initial signal.
 
     Every variant runs the same layer; a per-variant table says which
     degree scales and residual it applies.  Returns the final signal
     only; intermediates are not retained.
+
+    Parameters
+    ----------
+    nodes : int array, optional
+        Node indices whose rows to return, in the given order (repeats
+        allowed); all nodes when omitted.  The last layer's scatter
+        ``H e``, its node degree scale and the alpha residual then run on
+        these rows only, and the result equals
+        ``propagate(h, x, config)[nodes]`` bit for bit: a CSR product sums
+        each row on its own, in stored order.
+
+    Raises
+    ------
+    ShapeError
+        If ``x`` does not have ``n_nodes`` rows, or ``nodes`` is not a
+        1-D integer array or holds an id outside ``[0, h.n_nodes)``.
     """
     x2, was_1d = _as_signal(x, h.n_nodes, "node")
+    if nodes is not None:
+        nodes = _check_nodes(nodes, h)
+        if nodes.ndim != 1:
+            raise ShapeError(f"nodes must be 1-D, got {nodes.ndim}-D")
     out_power, in_power, residual = _LAYER_SHAPES[config.variant]
-    out_scale = None if out_power is None else _inv_node_degree(h, out_power)
-    in_scale = None if in_power is None else _inv_node_degree(h, in_power)
-    for _ in range(config.layers):
-        out = h.node_edge_matrix @ _edge_mean(
-            h, x2 if in_scale is None else in_scale * x2)
+    out_scale = None if out_power is None else h.inv_node_degree(out_power)
+    in_scale = None if in_power is None else h.inv_node_degree(in_power)
+    scatter = h.node_edge_matrix
+    for layer in range(config.layers):
+        r = _edge_mean(h, x2 if in_scale is None else in_scale * x2)
+        if nodes is not None and layer == config.layers - 1:
+            scatter, x2 = scatter[nodes], x2[nodes]
+            if out_scale is not None:
+                out_scale = out_scale[nodes]
+        out = scatter @ r
         if out_scale is not None:
             out *= out_scale
         if residual:

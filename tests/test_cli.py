@@ -90,6 +90,17 @@ class TestPropagate:
         np.testing.assert_allclose(
             values, [[0.5, 0.5], [0.25, 0.5], [0.0, 0.0], [0.0, 0.5]])
 
+    def test_header_only_label_file_exits_2(self, chain_incidence, tmp_path,
+                                            capsys):
+        labels = tmp_path / "labels.csv"
+        labels.write_text("nodeId,label\n")
+        out = tmp_path / "out.csv"
+        code = main(["propagate", "--incidence", str(chain_incidence),
+                     "--labels", str(labels), "--output", str(out)])
+        assert code == 2
+        assert capsys.readouterr().err == f"error: {labels}: no label rows\n"
+        assert not out.exists()
+
     def test_zero_layers_rejected(self, chain_incidence, tmp_path, capsys):
         signal = tmp_path / "signal.csv"
         signal.write_text("nodeId,value\nu1,1\nu2,0\nu3,0\n")
@@ -250,6 +261,16 @@ class TestMalformedInputExits2:
         assert "Traceback" not in result.stderr
         assert f"{incidence}: line 3: field larger than field limit" \
             in result.stderr
+
+    @pytest.mark.parametrize("smoothing", ["nan", "inf"])
+    def test_non_finite_smoothing(self, cliques, smoothing):
+        incidence, labels = cliques
+        result = run_cli("classify", "--incidence", str(incidence),
+                         "--labels", str(labels), "--method", "naive-bayes",
+                         "--smoothing", smoothing)
+        assert result.returncode == 2
+        assert result.stderr == (f"error: smoothing must be finite and >= 0, "
+                                 f"got {smoothing}\n")
 
     def test_invalid_utf8(self, tmp_path):
         incidence = tmp_path / "incidence.csv"

@@ -94,8 +94,9 @@ class TestTaskSpec:
             TaskSpec(task="retrieval", n_folds=1)
         with pytest.raises(InvalidConfigError):
             TaskSpec(task="retrieval", top_k=0)
-        with pytest.raises(InvalidConfigError):
-            TaskSpec(task="retrieval", smoothing=-1.0)
+        for smoothing in (-1.0, float("nan"), float("inf")):
+            with pytest.raises(InvalidConfigError, match="smoothing"):
+                TaskSpec(task="retrieval", smoothing=smoothing)
 
     def test_metric_names(self):
         assert TaskSpec(task="classification").metric_name == "auc"

@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from hyperprop import DegenerateLabelsError, ShapeError, precision_at_k, roc_auc
 
@@ -55,6 +55,34 @@ class TestRocAuc:
             labels[:2] = [0, 1]
             assert roc_auc(scores, labels) == pytest.approx(
                 oracles.pairwise_auc(scores, labels), abs=1e-12)
+
+
+class TestRocAucTies:
+    """Tie-heavy scores: exact against pairwise enumeration and against
+    scipy's average ranks, in 1-D and per column in 2-D."""
+
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(rows=st.lists(st.tuples(TIE_HEAVY, st.integers(0, 1)),
+                         min_size=2, max_size=30))
+    def test_1d(self, rows):
+        scores, labels = [r[0] for r in rows], [r[1] for r in rows]
+        assume(0 < sum(labels) < len(labels))
+        auc = roc_auc(scores, labels)
+        assert auc == oracles.pairwise_auc(scores, labels)
+        assert auc == oracles.rankdata_auc(scores, labels)
+
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    @given(data=st.data(), n=st.integers(2, 25), d=st.integers(1, 5))
+    def test_2d(self, data, n, d):
+        scores = np.array(data.draw(st.lists(TIE_HEAVY, min_size=n * d,
+                                             max_size=n * d))).reshape(n, d)
+        labels = np.array(data.draw(st.lists(st.integers(0, 1), min_size=n * d,
+                                             max_size=n * d))).reshape(n, d)
+        labels[0], labels[-1] = 0, 1  # both classes in every column
+        aucs = roc_auc(scores, labels)
+        assert np.array_equal(aucs, oracles.rankdata_auc(scores, labels))
+        for j in range(d):
+            assert aucs[j] == oracles.pairwise_auc(scores[:, j], labels[:, j])
 
 
 class TestPrecisionAtK:

@@ -44,6 +44,12 @@ class TestFit:
         np.testing.assert_allclose(np.exp(model.feature_log_likelihood[1]),
                                    [1.0, 0.0])
 
+    @pytest.mark.parametrize("smoothing", [-1.0, np.nan, np.inf])
+    def test_smoothing_must_be_finite_and_non_negative(self, chain,
+                                                       smoothing):
+        with pytest.raises(ValueError, match="smoothing"):
+            fit_naive_bayes(chain, [0, 2], [1, 0], smoothing=smoothing)
+
     def test_mirror_symmetric_classes(self):
         # class 1 lives in edge A, class 0 in edge B, fully symmetric
         h, maps = build_hypergraph(
@@ -137,6 +143,15 @@ class TestScore:
         model = fit_naive_bayes(chain, [0, 2], [1, 0])
         with pytest.raises(ShapeError, match="outside"):
             naive_bayes_log_odds(model, chain, nodes)
+
+    @pytest.mark.parametrize("nodes", [[True, False, True], [0.0, 2.0]])
+    def test_non_integer_node_ids_rejected(self, chain, nodes):
+        # a mask would score nodes 1, 0, 1; floats would be truncated
+        model = fit_naive_bayes(chain, [0, 2], [1, 0])
+        with pytest.raises(ShapeError, match="integers"):
+            naive_bayes_log_odds(model, chain, nodes)
+        with pytest.raises(ShapeError, match="integers"):
+            fit_naive_bayes(chain, nodes, [1, 0, 1][:len(nodes)])
 
     def test_matches_count_oracle_on_random_instances(self):
         rng = np.random.default_rng(2)

@@ -266,6 +266,44 @@ class TestBitwiseComposition:
                 assert np.array_equal(batch[:, j], propagate(h, x[:, j], cfg))
 
 
+class TestNodes:
+    """``nodes=`` returns exactly the selected rows of the full result."""
+
+    @pytest.mark.parametrize("layers", [1, 2, 3])
+    @pytest.mark.parametrize("variant", ["row", "column", "symmetric", "alpha"])
+    def test_rows_equal_full_result_exactly(self, variant, layers):
+        cfg = PropagationConfig(variant=variant, layers=layers,
+                                alpha=0.3 if variant == "alpha" else None)
+        rng = np.random.default_rng(20 + layers)
+        graphs = [random_hypergraph(300, 60, 1500, seed=s) for s in range(2)]
+        graphs += [bernoulli_hypergraph(rng) for _ in range(8)]  # isolated nodes
+        for h in graphs:
+            n = h.n_nodes
+            x = random_signal(rng, n)
+            full = propagate(h, x, cfg)
+            isolated = np.flatnonzero(h.node_degree == 0)
+            for idx in (np.arange(n), np.sort(rng.choice(n, n // 2)),
+                        rng.permutation(n)[:n // 3],        # unsorted
+                        rng.integers(0, n, size=2 * n),     # repeated
+                        isolated, np.array([], dtype=np.int64)):
+                out = propagate(h, x, cfg, nodes=idx)
+                assert out.shape == (len(idx), x.shape[1])
+                assert np.array_equal(out, full[idx])
+            assert np.array_equal(propagate(h, x[:, 0], cfg, nodes=[n - 1, 0]),
+                                  full[[n - 1, 0], 0])
+
+    def test_empty_list(self, chain):
+        out = propagate(chain, np.ones(3), PropagationConfig(), nodes=[])
+        assert out.shape == (0,)
+
+    @pytest.mark.parametrize("nodes", [[-1], [0, 3], [[0, 1]],
+                                       [True, False, True], [0.5]])
+    def test_bad_node_ids_rejected(self, chain, nodes):
+        # scipy would wrap -1 to the last row and read a mask as ids 0, 1
+        with pytest.raises(ShapeError):
+            propagate(chain, np.ones(3), PropagationConfig(), nodes=nodes)
+
+
 class TestConfig:
     def test_alpha_required_in_open_interval(self):
         for bad in (None, 0.0, 1.0, -0.2, 1.5):
