@@ -13,21 +13,18 @@ delimited incidence and label files.
 from .errors import (DegenerateLabelsError, EmptyGraphError, HyperpropError,
                      InvalidConfigError, InvalidFoldsError, MissingClassError,
                      MissingColumnError, MissingLabelError, ParseError,
-                     ShapeError, SizeGuardError, UnknownClassError,
-                     UnknownNodeError)
+                     ShapeError, UnknownClassError, UnknownNodeError)
 from .evaluation import (FoldAssignment, MetricCell, MetricReport, SkippedCell,
                          TaskSpec, assign_folds, binarize, run_classification,
                          run_retrieval)
 from .hypergraph import (Hypergraph, IdMap, IdMaps, build_hypergraph,
                          random_hypergraph)
-from .io import (DatasetBundle, check_stats, dataset_stats, load_dataset,
-                 load_incidence, load_labels, load_signal, write_report,
-                 write_signal)
+from .io import (DatasetBundle, dataset_stats, load_dataset, load_incidence,
+                 load_labels, load_signal, write_report, write_signal)
 from .metrics import precision_at_k, roc_auc
 from .naive_bayes import NaiveBayesModel, fit_naive_bayes, naive_bayes_log_odds
-from .propagation import (VARIANTS, PropagationConfig, dense_kernel,
-                          dense_propagate_layer, edge_average, node_average,
-                          propagate, propagate_layer)
+from .propagation import (VARIANTS, PropagationConfig, edge_average,
+                          node_average, propagate, propagate_layer)
 
 __version__ = "0.1.0"
 
@@ -37,12 +34,11 @@ __all__ = [
     "InvalidConfigError", "InvalidFoldsError", "MetricCell", "MetricReport",
     "MissingClassError", "MissingColumnError", "MissingLabelError",
     "NaiveBayesModel", "ParseError", "PropagationConfig", "ShapeError",
-    "SizeGuardError", "SkippedCell", "TaskSpec", "UnknownClassError",
-    "UnknownNodeError", "VARIANTS", "assign_folds", "binarize",
-    "build_hypergraph", "check_stats", "dataset_stats", "dense_kernel",
-    "dense_propagate_layer", "edge_average", "fit_naive_bayes",
-    "load_dataset", "load_incidence", "load_labels", "load_signal",
-    "naive_bayes_log_odds", "node_average", "precision_at_k", "propagate",
-    "propagate_layer", "random_hypergraph", "roc_auc", "run_classification",
-    "run_retrieval", "write_report", "write_signal",
+    "SkippedCell", "TaskSpec", "UnknownClassError", "UnknownNodeError",
+    "VARIANTS", "assign_folds", "binarize", "build_hypergraph",
+    "dataset_stats", "edge_average", "fit_naive_bayes", "load_dataset",
+    "load_incidence", "load_labels", "load_signal", "naive_bayes_log_odds",
+    "node_average", "precision_at_k", "propagate", "propagate_layer",
+    "random_hypergraph", "roc_auc", "run_classification", "run_retrieval",
+    "write_report", "write_signal",
 ]

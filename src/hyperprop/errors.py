@@ -22,10 +22,6 @@ class InvalidConfigError(HyperpropError):
     """A propagation or task configuration violates its constraints."""
 
 
-class SizeGuardError(HyperpropError):
-    """A dense reference computation was requested on too large a graph."""
-
-
 class MissingClassError(HyperpropError):
     """A training set lacks examples of one of the required classes."""
 

@@ -35,33 +35,19 @@ from .errors import EmptyGraphError, ShapeError
 class IdMap:
     """Bijection between external identifiers and dense indices ``[0, n)``.
 
-    Indices are assigned in first-appearance order, of ``ids`` at
-    construction (interned in bulk) and then of :meth:`intern` calls, which
-    keeps construction deterministic.
+    Indices follow first appearance in ``ids``, so construction is
+    deterministic.  The map is immutable: its ids are held as one tuple.
     """
 
     __slots__ = ("_index", "_ids")
 
-    def __init__(self, ids: Iterable[Hashable] = ()):
-        self._ids: list[Hashable] = list(dict.fromkeys(ids))
+    def __init__(self, ids: Iterable[Hashable]):
+        self._ids: tuple = tuple(dict.fromkeys(ids))
         self._index: dict[Hashable, int] = dict(
             zip(self._ids, range(len(self._ids))))
 
-    def intern(self, key: Hashable) -> int:
-        """Return the dense index for ``key``, assigning a new one if unseen."""
-        idx = self._index.get(key)
-        if idx is None:
-            idx = len(self._ids)
-            self._index[key] = idx
-            self._ids.append(key)
-        return idx
-
-    def index_of(self, key: Hashable) -> int:
-        """Dense index of ``key``; raises ``KeyError`` if never interned."""
-        return self._index[key]
-
     def lookup(self, keys: Iterable[Hashable]) -> np.ndarray:
-        """Dense index of each of ``keys``, -1 for a key never interned."""
+        """Dense index of each of ``keys``, -1 for a key not in the map."""
         keys = list(keys)
         return np.fromiter(map(self._index.get, keys, repeat(-1)),
                            dtype=np.intp, count=len(keys))
@@ -73,7 +59,7 @@ class IdMap:
     @property
     def ids(self) -> tuple:
         """All identifiers, in dense-index order."""
-        return tuple(self._ids)
+        return self._ids
 
     def __len__(self) -> int:
         return len(self._ids)

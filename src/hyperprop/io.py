@@ -22,7 +22,6 @@ import csv
 import io
 import json
 import re
-import warnings
 from dataclasses import dataclass
 from itertools import chain, count
 from pathlib import Path
@@ -506,23 +505,6 @@ def dataset_stats(bundle: DatasetBundle) -> dict:
         "mean_node_degree": float(h.node_degree.mean()),
         "mean_edge_degree": float(h.edge_degree.mean()),
     }
-
-
-def check_stats(bundle: DatasetBundle, expected: dict) -> list[str]:
-    """Compare loaded statistics against published characteristics.
-
-    Mismatches are returned (and emitted as warnings), not raised: dataset
-    releases drift, and a count difference should not block an experiment.
-    """
-    stats = dataset_stats(bundle)
-    mismatches = []
-    for key, want in expected.items():
-        got = stats.get(key)
-        if got != want:
-            mismatches.append(f"{bundle.name}: {key} = {got}, expected {want}")
-    for msg in mismatches:
-        warnings.warn(msg, stacklevel=2)
-    return mismatches
 
 
 # ---------------------------------------------------------------------------

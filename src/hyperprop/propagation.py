@@ -37,13 +37,10 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .errors import InvalidConfigError, ShapeError, SizeGuardError
+from .errors import InvalidConfigError, ShapeError
 from .hypergraph import Hypergraph, _check_nodes
 
 VARIANTS = ("row", "column", "symmetric", "alpha")
-
-# dense references refuse anything bigger than this n_nodes * n_edges
-DENSE_GUARD = 1_000_000
 
 
 @dataclass(frozen=True)
@@ -205,66 +202,3 @@ def propagate(h: Hypergraph, x, config: PropagationConfig,
         x2 = out
     return x2[:, 0] if was_1d else x2
 
-
-# ---------------------------------------------------------------------------
-# Dense reference path.  Used exclusively for equivalence testing: it
-# materializes H, D^-1 and B^-1 as explicit dense matrices and multiplies
-# them out, sharing nothing with the sparse two-pass code above.
-# ---------------------------------------------------------------------------
-
-def _guard_dense(h: Hypergraph):
-    if h.n_nodes * h.n_edges > DENSE_GUARD:
-        raise SizeGuardError(
-            f"dense reference limited to n_nodes * n_edges <= {DENSE_GUARD}, "
-            f"got {h.n_nodes} * {h.n_edges}")
-
-
-def _dense_incidence(h: Hypergraph) -> np.ndarray:
-    H = np.zeros((h.n_nodes, h.n_edges))
-    for j in range(h.n_edges):
-        H[h.nodes_of(j), j] = 1.0
-    return H
-
-
-def _dense_degree_inverses(h: Hypergraph):
-    node_deg = h.node_degree.astype(np.float64)
-    with np.errstate(divide="ignore"):
-        dinv = np.where(node_deg > 0, 1.0 / node_deg, 0.0)
-    return np.diag(dinv), np.diag(1.0 / h.edge_degree.astype(np.float64))
-
-
-def dense_kernel(h: Hypergraph) -> np.ndarray:
-    """Dense node-to-node kernel ``H B^-1 H^T``.
-
-    Entry (i, k) counts the hyperedges containing both nodes, each weighted
-    by the reciprocal of its degree.  Guarded to small graphs.
-    """
-    _guard_dense(h)
-    H = _dense_incidence(h)
-    _, binv = _dense_degree_inverses(h)
-    return H @ binv @ H.T
-
-
-def dense_propagate_layer(h: Hypergraph, x, config: PropagationConfig | None = None) -> np.ndarray:
-    """Single propagation layer via explicit dense matrix products.
-
-    Mathematically identical to :func:`propagate_layer`; intended only as
-    an independent oracle in tests.  Raises :class:`SizeGuardError` when
-    ``n_nodes * n_edges`` exceeds ``DENSE_GUARD``.
-    """
-    config = config or PropagationConfig()
-    _guard_dense(h)
-    x2, was_1d = _as_signal(x, h.n_nodes, "node")
-    H = _dense_incidence(h)
-    dinv, binv = _dense_degree_inverses(h)
-    if config.variant == "row":
-        out = dinv @ H @ binv @ H.T @ x2
-    elif config.variant == "column":
-        out = H @ binv @ H.T @ dinv @ x2
-    elif config.variant == "symmetric":
-        dhalf = np.sqrt(dinv)
-        out = dhalf @ H @ binv @ H.T @ dhalf @ x2
-    else:
-        a = float(config.alpha)
-        out = 2.0 * a * (dinv @ H @ binv @ H.T @ x2) + (1.0 - 2.0 * a) * x2
-    return out[:, 0] if was_1d else out

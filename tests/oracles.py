@@ -1,8 +1,9 @@
 """Independent brute-force references used only by the tests.
 
 These deliberately share no code with the production implementations
-beyond the Hypergraph type itself: plain Python loops, probability-space
-arithmetic, exhaustive pair enumeration.  Slow on purpose.
+beyond the Hypergraph type itself: explicit dense matrix products, plain
+Python loops, probability-space arithmetic, exhaustive pair enumeration.
+Slow on purpose.
 
 The exception is :func:`per_cell_report`, the reference for the batched
 evaluation harness: it scores one (class, fold) cell at a time through
@@ -24,13 +25,74 @@ from scipy.stats import rankdata
 
 from hyperprop import (EmptyGraphError, Hypergraph, MetricCell,
                        MetricReport, MissingColumnError, ParseError,
-                       SkippedCell, assign_folds, binarize, fit_naive_bayes,
-                       naive_bayes_log_odds, precision_at_k, propagate,
-                       roc_auc)
+                       PropagationConfig, SkippedCell, assign_folds, binarize,
+                       fit_naive_bayes, naive_bayes_log_odds, precision_at_k,
+                       propagate, roc_auc)
 
-# the dense matrix-product layer lives next to the sparse engine and is
-# re-exported here so tests wire every oracle through one module
-from hyperprop.propagation import dense_kernel, dense_propagate_layer  # noqa: F401
+# the dense references refuse anything bigger than this n_nodes * n_edges
+DENSE_GUARD = 1_000_000
+
+
+class SizeGuardError(Exception):
+    """A dense reference computation was requested on too large a graph."""
+
+
+def _guard_dense(h):
+    if h.n_nodes * h.n_edges > DENSE_GUARD:
+        raise SizeGuardError(
+            f"dense reference limited to n_nodes * n_edges <= {DENSE_GUARD}, "
+            f"got {h.n_nodes} * {h.n_edges}")
+
+
+def _dense_incidence(h):
+    H = np.zeros((h.n_nodes, h.n_edges))
+    for j in range(h.n_edges):
+        H[h.nodes_of(j), j] = 1.0
+    return H
+
+
+def _dense_degree_inverses(H):
+    """``D^-1`` (with ``1/0 := 0``) and ``B^-1`` as diagonal matrices,
+    the degrees counted from the dense incidence itself."""
+    node_deg, edge_deg = H.sum(axis=1), H.sum(axis=0)
+    with np.errstate(divide="ignore"):
+        dinv = np.where(node_deg > 0, 1.0 / node_deg, 0.0)
+    return np.diag(dinv), np.diag(1.0 / edge_deg)
+
+
+def dense_kernel(h):
+    """Dense node-to-node kernel ``H B^-1 H^T``.
+
+    Entry (i, k) counts the hyperedges containing both nodes, each weighted
+    by the reciprocal of its degree.  Guarded to small graphs.
+    """
+    _guard_dense(h)
+    H = _dense_incidence(h)
+    _, binv = _dense_degree_inverses(H)
+    return H @ binv @ H.T
+
+
+def dense_propagate_layer(h, x, config=None):
+    """Single propagation layer via explicit dense matrix products.
+
+    ``x`` is 1-D or 2-D, and the result has its shape.  Raises
+    :class:`SizeGuardError` when ``n_nodes * n_edges`` exceeds
+    ``DENSE_GUARD``.
+    """
+    config = config or PropagationConfig()
+    _guard_dense(h)
+    x = np.asarray(x, dtype=np.float64)
+    H = _dense_incidence(h)
+    dinv, binv = _dense_degree_inverses(H)
+    if config.variant == "row":
+        return dinv @ H @ binv @ H.T @ x
+    if config.variant == "column":
+        return H @ binv @ H.T @ dinv @ x
+    if config.variant == "symmetric":
+        dhalf = np.sqrt(dinv)
+        return dhalf @ H @ binv @ H.T @ dhalf @ x
+    a = float(config.alpha)
+    return 2.0 * a * (dinv @ H @ binv @ H.T @ x) + (1.0 - 2.0 * a) * x
 
 
 def pairwise_auc(scores, labels):

@@ -110,9 +110,15 @@ class TestPropagate:
         assert code == 2
         assert "error" in capsys.readouterr().err
 
-    def test_requires_signal_or_labels(self, chain_incidence, tmp_path):
-        assert main(["propagate", "--incidence", str(chain_incidence),
-                     "--output", str(tmp_path / "out.csv")]) == 2
+    @pytest.mark.parametrize("sources", [
+        [], ["--signal", "signal.csv", "--labels", "labels.csv"]],
+        ids=["neither", "both"])
+    def test_requires_signal_or_labels(self, chain_incidence, tmp_path,
+                                       sources):
+        with pytest.raises(SystemExit) as exc:
+            main(["propagate", "--incidence", str(chain_incidence),
+                  *sources, "--output", str(tmp_path / "out.csv")])
+        assert exc.value.code == 2
 
     def test_missing_file(self, tmp_path):
         assert main(["propagate", "--incidence", str(tmp_path / "nope.csv"),
@@ -195,46 +201,33 @@ class TestRetrieve:
         assert doc["params"]["top_k"] == 3
 
 
-class TestBench:
-    def test_synthetic_default_repetitions(self, tmp_path, capsys):
-        out = tmp_path / "bench.json"
-        code = main(["bench", "--synthetic", "300", "40", "900", "7",
-                     "--output", str(out)])
-        assert code == 0
-        doc = json.loads(out.read_text())
-        assert doc["repetitions"] == 20
-        assert {c["cell"] for c in doc["cells"]} == {
-            "propagation_layers_1", "propagation_layers_2",
-            "propagation_layers_3", "naive_bayes_fit_score"}
-        for cell in doc["cells"]:
-            assert len(cell["micros"]) == 20
-        stdout = capsys.readouterr().out
-        assert "median_micros=" in stdout
-
-    def test_incidence_source(self, chain_incidence, tmp_path):
-        out = tmp_path / "bench.csv"
-        assert main(["bench", "--incidence", str(chain_incidence),
-                     "--repetitions", "2", "--output", str(out),
-                     "--format", "csv"]) == 0
-        lines = out.read_text().splitlines()
-        assert lines[0] == "cell,rep,micros"
-        assert any(",median," in line for line in lines)
-
-    def test_requires_a_source(self, capsys):
-        assert main(["bench"]) == 2
-        assert "error" in capsys.readouterr().err
-
-
 class TestArgumentErrors:
     def test_unknown_flag_exits_2(self, capsys):
         with pytest.raises(SystemExit) as exc:
             main(["classify", "--bogus"])
         assert exc.value.code == 2
 
-    def test_unknown_subcommand_exits_2(self):
+    @pytest.mark.parametrize("command", ["transmogrify", "bench"])
+    def test_unknown_subcommand_exits_2(self, command):
         with pytest.raises(SystemExit) as exc:
-            main(["transmogrify"])
+            main([command])
         assert exc.value.code == 2
+
+    @pytest.mark.parametrize("argv, message", [
+        (["propagate", "--signal", "x0.csv", "--layers", "0",
+          "--output", "out.csv"],
+         "layers must be an integer >= 1"),
+        (["classify", "--labels", "labels.csv", "--variant", "alpha"],
+         "alpha variant requires alpha in the open interval (0, 1)"),
+        (["retrieve", "--labels", "labels.csv", "--method", "naive-bayes",
+          "--smoothing", "nan"],
+         "smoothing must be finite and >= 0, got nan"),
+    ], ids=["layers", "alpha", "smoothing"])
+    def test_bad_flag_fails_before_any_read(self, tmp_path, capsys, argv,
+                                            message):
+        missing = tmp_path / "missing.csv"
+        assert main([*argv, "--incidence", str(missing)]) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
 
 
 def run_cli(*argv):

@@ -39,20 +39,21 @@ class TestBuild:
         _, maps = build_hypergraph(PAIRS)
         assert maps.node_ids.ids == ("a", "b", "c")
         assert maps.edge_ids.ids == ("e1", "e2")
-        assert maps.node_ids.index_of("b") == 1
+        assert maps.node_ids.lookup(["b"]).tolist() == [1]
         assert maps.edge_ids.id_of(1) == "e2"
 
     def test_node_universe_adds_isolated_nodes(self):
         h, maps = build_hypergraph(PAIRS, node_universe=["z", "a", "b", "c"])
         assert h.n_nodes == 4
-        assert h.node_degree[maps.node_ids.index_of("z")] == 0
-        assert h.edges_of(maps.node_ids.index_of("z")).size == 0
+        (z,) = maps.node_ids.lookup(["z"])
+        assert h.node_degree[z] == 0
+        assert h.edges_of(z).size == 0
 
     def test_adjacency_views_sorted(self):
         # feed pairs in scrambled order; stored rows must come out sorted
         pairs = [("n", "e3"), ("n", "e1"), ("n", "e2"), ("m", "e1")]
         h, maps = build_hypergraph(pairs)
-        i = maps.node_ids.index_of("n")
+        (i,) = maps.node_ids.lookup(["n"])
         assert h.edges_of(i).tolist() == sorted(h.edges_of(i).tolist())
         for j in range(h.n_edges):
             members = h.nodes_of(j).tolist()
@@ -80,18 +81,14 @@ class TestBuild:
 
 class TestIdMap:
     def test_bijection(self):
-        im = IdMap()
-        idx = [im.intern(k) for k in ("x", "y", "x", "z")]
-        assert idx == [0, 1, 0, 2]
+        im = IdMap(["x", "y", "x", "z"])
+        assert im.lookup(["x", "y", "x", "z"]).tolist() == [0, 1, 0, 2]
         assert len(im) == 3
+        assert im.ids == ("x", "y", "z")
+        assert im.ids is im.ids  # the stored tuple, not a copy
         for k in ("x", "y", "z"):
-            assert im.id_of(im.index_of(k)) == k
+            assert im.id_of(im.lookup([k])[0]) == k
         assert "w" not in im
-
-    def test_unknown_key(self):
-        im = IdMap(["a"])
-        with pytest.raises(KeyError):
-            im.index_of("missing")
 
     def test_bulk_lookup(self):
         im = IdMap(["a", "b", "a"])

@@ -9,9 +9,8 @@ import pytest
 
 from hyperprop import (MetricCell, MetricReport, MissingColumnError,
                        MissingLabelError, ParseError, UnknownNodeError,
-                       check_stats, dataset_stats, load_dataset,
-                       load_incidence, load_labels, load_signal, write_report,
-                       write_signal)
+                       dataset_stats, load_dataset, load_incidence,
+                       load_labels, load_signal, write_report, write_signal)
 from hyperprop.io import canonical_json_bytes, read_labels, report_to_dict
 from oracles import row_load_incidence
 
@@ -318,14 +317,6 @@ class TestLoadDataset:
         path.write_text(LABELS + "a,bio\n")
         with pytest.raises(ParseError, match="labeled both 'art' and 'bio'"):
             load_dataset(incidence_file, path)
-
-    def test_check_stats_warns_but_does_not_raise(self, incidence_file,
-                                                  labels_file):
-        bundle = load_dataset(incidence_file, labels_file)
-        assert check_stats(bundle, {"n_nodes": 3}) == []
-        with pytest.warns(UserWarning):
-            mismatches = check_stats(bundle, {"n_nodes": 99})
-        assert len(mismatches) == 1
 
 
 class TestSignalFiles:

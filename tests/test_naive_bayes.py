@@ -55,7 +55,7 @@ class TestFit:
         h, maps = build_hypergraph(
             [("p1", "A"), ("p2", "A"), ("n1", "B"), ("n2", "B")])
         model = fit_naive_bayes(h, np.arange(4), [1, 1, 0, 0])
-        a, b = maps.edge_ids.index_of("A"), maps.edge_ids.index_of("B")
+        a, b = maps.edge_ids.lookup(["A", "B"])
         swap = np.array([b, a]) if a == 0 else np.array([a, b])
         np.testing.assert_allclose(model.feature_log_likelihood[1],
                                    model.feature_log_likelihood[0][swap])
