@@ -22,7 +22,8 @@ from pathlib import Path
 import numpy as np
 
 from .errors import HyperpropError, ParseError
-from .evaluation import TaskSpec, run_classification, run_retrieval
+from .evaluation import (TaskSpec, check_n_jobs, run_classification,
+                         run_retrieval)
 from .io import (load_dataset, load_incidence, load_signal, read_labels,
                  write_report, write_signal)
 from .propagation import VARIANTS, PropagationConfig, propagate
@@ -105,13 +106,13 @@ def _run_eval(args, task_name: str) -> int:
     spec = TaskSpec(  # bad flags fail before any read
         task=task_name,
         method=args.method,
-        propagation=(_propagation_config(args)
-                     if args.method == "propagation" else PropagationConfig()),
+        propagation=_propagation_config(args),
         smoothing=args.smoothing,
         n_folds=args.folds,
         top_k=getattr(args, "top_k", 100),
         seed=args.seed,
     )
+    check_n_jobs(args.jobs)
     bundle = load_dataset(args.incidence, args.labels,
                           name=Path(args.incidence).stem)
     runner = run_classification if task_name == "classification" else run_retrieval

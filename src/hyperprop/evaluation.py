@@ -260,10 +260,15 @@ def _retrieval_block(h, y, fold_mask, task, rngs):
     return precision_at_k(scores, y[test_mask], task.top_k), micros
 
 
-def _run(h: Hypergraph, labels, task: TaskSpec, dataset_name, class_names,
-         n_jobs) -> MetricReport:
+def check_n_jobs(n_jobs: int) -> None:
+    """Raise :class:`InvalidConfigError` unless ``n_jobs >= 1``."""
     if n_jobs < 1:
         raise InvalidConfigError(f"n_jobs must be >= 1, got {n_jobs}")
+
+
+def _run(h: Hypergraph, labels, task: TaskSpec, dataset_name, class_names,
+         n_jobs) -> MetricReport:
+    check_n_jobs(n_jobs)
     labels = np.asarray(labels)
     if labels.shape != (h.n_nodes,):
         raise ShapeError(

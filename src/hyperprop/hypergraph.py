@@ -1,15 +1,13 @@
-"""Immutable hypergraph structure stored as two CSR incidence matrices.
+"""Immutable hypergraph structure stored as one CSR incidence matrix.
 
 A hypergraph is a set of nodes plus a family of hyperedges, each hyperedge
 an arbitrary nonempty subset of nodes.  The structure is equivalent to a
 binary incidence matrix ``H`` of shape ``(n_nodes, n_edges)`` with
 ``H[i, j] = 1`` iff node ``i`` belongs to hyperedge ``j``.  A
-:class:`Hypergraph` stores exactly ``H`` and ``H^T`` as scipy CSR
-matrices: node -> incident edges (rows of ``H``) and hyperedge -> member
-nodes (rows of ``H^T``), so either direction of traversal is contiguous.
-The two matrices share one float64 buffer of ones as their values, and
-their index arrays use the dtype scipy picks, int32 whenever the sizes
-fit.
+:class:`Hypergraph` stores exactly ``H``, as a scipy CSR matrix (node ->
+incident edges), and exposes ``H^T`` as ``H``'s CSC view, which shares
+its arrays: each incidence is stored once.  Its index arrays use the
+dtype scipy picks, int32 whenever the sizes fit.
 
 Instances are deeply immutable (attributes cannot be rebound and every
 array, values included, is read-only) and safe to share across threads.
@@ -78,87 +76,52 @@ class IdMaps:
 
 @dataclass(frozen=True, eq=False, init=False)
 class Hypergraph:
-    """Hypergraph stored as its incidence matrix and that matrix's transpose.
+    """Hypergraph stored as its incidence matrix ``H``.
 
     Parameters
     ----------
-    node_ptr, node_adj : 1-D integer arrays
-        CSR layout of the node -> edge view. ``node_adj[node_ptr[i]:
-        node_ptr[i+1]]`` are the hyperedges incident to node ``i``, strictly
-        increasing.
-    edge_ptr, edge_adj : 1-D integer arrays
-        CSR layout of the hyperedge -> node view, same convention.
+    nodes, edges : 1-D integer arrays of equal length
+        Incidence ``k`` puts node ``nodes[k]`` in hyperedge ``edges[k]``.
+        Duplicate pairs collapse (incidence is binary).
+    n_nodes, n_edges : int
+        Sizes of the two index spaces; isolated nodes (degree 0) are
+        legal, but every hyperedge needs at least one member node.
 
-    The incidence is stored once, as two scipy CSR matrices built from the
-    validated arrays, :attr:`node_edge_matrix` (``H``) and
-    :attr:`edge_node_matrix` (``H^T``), sharing one float64 buffer of ones
-    as values.  The four array attributes read their ``indptr``/``indices``
-    back, in the index dtype scipy picks (int32 when the sizes fit).
-    Integer arrays are taken over, not copied, and made read-only.  The
-    degree arrays are computed once, at construction, and each power of
-    ``D^-1`` once, on first use (:meth:`inv_node_degree`).
+    :attr:`node_edge_matrix` is ``H`` as a canonical scipy CSR matrix
+    (rows sorted, no duplicates) with float64 ones as values, and
+    :attr:`edge_node_matrix` is ``H^T``, the CSC view of the same arrays,
+    which copies nothing.  Both sum each edge's members in ascending node
+    order.  The degree arrays are computed once, at construction, and
+    each power of ``D^-1`` once, on first use (:meth:`inv_node_degree`).
 
-    Incidence is binary: a given (node, edge) pair is stored at most once.
-    Every hyperedge has at least one member node; isolated nodes (degree 0)
-    are legal.  Use :func:`build_hypergraph` rather than constructing
-    directly from arrays.
+    Raises
+    ------
+    ValueError
+        For an index outside ``[0, n_nodes)`` or ``[0, n_edges)`` (scipy's
+        check), or a hyperedge with no member node.
     """
 
     node_edge_matrix: sp.csr_matrix
-    edge_node_matrix: sp.csr_matrix
+    edge_node_matrix: sp.csc_matrix  # H.T: a view of node_edge_matrix
     node_degree: np.ndarray  # edges per node: the diagonal of D
     edge_degree: np.ndarray  # member nodes per edge: the diagonal of B
     _inv_degree: dict  # power -> D^-power column, filled on first use
 
-    def __init__(self, node_ptr, node_adj, edge_ptr, edge_adj):
-        arrays = [np.asarray(a) for a in (node_ptr, node_adj, edge_ptr, edge_adj)]
-        node_ptr, node_adj, edge_ptr, edge_adj = (
-            a if a.dtype.kind == "i" else a.astype(np.int64) for a in arrays)
-        n_nodes, n_edges = node_ptr.size - 1, edge_ptr.size - 1
-        _check_csr(node_ptr, node_adj, n_edges, "node")
-        _check_csr(edge_ptr, edge_adj, n_nodes, "edge")
-        if node_adj.size != edge_adj.size:
-            raise ValueError("node and edge views disagree on incidence count")
-        if n_edges and np.diff(edge_ptr).min() < 1:
+    def __init__(self, nodes, edges, n_nodes: int, n_edges: int):
+        h = sp.csr_matrix((np.ones(len(nodes)), (nodes, edges)),
+                          shape=(n_nodes, n_edges))
+        h.sum_duplicates()
+        h.data[:] = 1.0
+        for arr in (h.data, h.indices, h.indptr):
+            arr.setflags(write=False)
+        edge_degree = np.bincount(h.indices, minlength=n_edges)
+        if n_edges and edge_degree.min() < 1:
             raise ValueError("empty hyperedges are not allowed")
-        ones = _read_only(np.ones(node_adj.size))
-        for name, matrix in (
-                ("node_edge_matrix", sp.csr_matrix(
-                    (ones, node_adj, node_ptr), shape=(n_nodes, n_edges))),
-                ("edge_node_matrix", sp.csr_matrix(
-                    (ones, edge_adj, edge_ptr), shape=(n_edges, n_nodes)))):
-            for arr in (matrix.data, matrix.indices, matrix.indptr):
-                arr.setflags(write=False)
-            object.__setattr__(self, name, matrix)
-        object.__setattr__(self, "node_degree",
-                           _read_only(np.diff(self.node_ptr)))
-        object.__setattr__(self, "edge_degree",
-                           _read_only(np.diff(self.edge_ptr)))
+        object.__setattr__(self, "node_edge_matrix", h)
+        object.__setattr__(self, "edge_node_matrix", h.T)
+        object.__setattr__(self, "node_degree", _read_only(np.diff(h.indptr)))
+        object.__setattr__(self, "edge_degree", _read_only(edge_degree))
         object.__setattr__(self, "_inv_degree", {})
-
-    # -- storage views ----------------------------------------------------
-
-    @property
-    def node_ptr(self) -> np.ndarray:
-        """Row offsets of ``H``: node ``i``'s edges start at ``node_ptr[i]``."""
-        return self.node_edge_matrix.indptr
-
-    @property
-    def node_adj(self) -> np.ndarray:
-        """Hyperedge indices of ``H``, node by node."""
-        return self.node_edge_matrix.indices
-
-    @property
-    def edge_ptr(self) -> np.ndarray:
-        """Row offsets of ``H^T``: edge ``j``'s members start at ``edge_ptr[j]``."""
-        return self.edge_node_matrix.indptr
-
-    @property
-    def edge_adj(self) -> np.ndarray:
-        """Node indices of ``H^T``, hyperedge by hyperedge."""
-        return self.edge_node_matrix.indices
-
-    # -- sizes ------------------------------------------------------------
 
     @property
     def n_nodes(self) -> int:
@@ -171,7 +134,7 @@ class Hypergraph:
     @property
     def nnz(self) -> int:
         """Number of (node, edge) incidences; equals both degree sums."""
-        return self.node_adj.size
+        return self.node_edge_matrix.nnz
 
     def inv_node_degree(self, power: float = 1.0) -> np.ndarray:
         """``deg(u)^-power`` per node as a read-only ``(n_nodes, 1)`` column.
@@ -188,16 +151,6 @@ class Hypergraph:
             np.divide(1.0, deg**power, out=inv, where=deg > 0)
             scale = self._inv_degree.setdefault(power, _read_only(inv[:, None]))
         return scale
-
-    # -- traversal --------------------------------------------------------
-
-    def edges_of(self, node: int) -> np.ndarray:
-        """Sorted hyperedge indices incident to ``node`` (read-only view)."""
-        return self.node_adj[self.node_ptr[node]:self.node_ptr[node + 1]]
-
-    def nodes_of(self, edge: int) -> np.ndarray:
-        """Sorted member node indices of ``edge`` (read-only view)."""
-        return self.edge_adj[self.edge_ptr[edge]:self.edge_ptr[edge + 1]]
 
     def __repr__(self) -> str:
         return (f"Hypergraph(n_nodes={self.n_nodes}, n_edges={self.n_edges}, "
@@ -224,34 +177,6 @@ def _check_nodes(nodes, h: Hypergraph) -> np.ndarray:
     if bad.any():
         raise ShapeError(f"node id {arr[bad][0]} outside [0, {h.n_nodes})")
     return arr
-
-
-def _check_csr(ptr, adj, n_cols, what):
-    if ptr.ndim != 1 or adj.ndim != 1 or ptr.size < 1:
-        raise ValueError(f"malformed {what} CSR arrays")
-    if ptr[0] != 0 or ptr[-1] != adj.size or np.any(np.diff(ptr) < 0):
-        raise ValueError(f"{what}_ptr is not a valid offset array")
-    if adj.size:
-        if adj.min() < 0 or adj.max() >= n_cols:
-            raise ValueError(f"{what}_adj index out of range")
-        # strictly increasing within each row <=> sorted and duplicate-free
-        inner = np.ones(adj.size, dtype=bool)
-        starts = ptr[1:-1]
-        inner[starts[starts < adj.size]] = False
-        if np.any(adj[1:][inner[1:]] <= adj[:-1][inner[1:]]):
-            raise ValueError(f"{what}_adj rows must be strictly increasing")
-
-
-def _structure_from_indices(nodes, edges, n_nodes, n_edges) -> Hypergraph:
-    """Build a Hypergraph from parallel (node, edge) index arrays.
-
-    Duplicate pairs collapse (incidence is binary).
-    """
-    h = sp.csr_matrix((np.ones(len(nodes)), (nodes, edges)),
-                      shape=(n_nodes, n_edges))
-    h.sum_duplicates()
-    ht = h.T.tocsr()
-    return Hypergraph(h.indptr, h.indices, ht.indptr, ht.indices)
 
 
 @dataclass(frozen=True)
@@ -293,6 +218,9 @@ def build_hypergraph(
 ) -> tuple[Hypergraph, IdMaps]:
     """Construct a hypergraph from a stream of (node id, edge id) pairs.
 
+    The ids are mapped to dense indices and the index pairs handed to
+    :class:`Hypergraph`, which stores them once, as the CSR matrix ``H``.
+
     Parameters
     ----------
     pairs : iterable of (node identifier, edge identifier), or InternedPairs
@@ -323,8 +251,8 @@ def build_hypergraph(
     universe = () if node_universe is None else node_universe
     node_map = IdMap(chain(universe, pairs.node_ids))
     edge_map = IdMap(pairs.edge_ids)
-    h = _structure_from_indices(node_map.lookup(pairs.node_ids)[pairs.nodes],
-                                pairs.edges, len(node_map), len(edge_map))
+    h = Hypergraph(node_map.lookup(pairs.node_ids)[pairs.nodes], pairs.edges,
+                   len(node_map), len(edge_map))
     return h, IdMaps(node_ids=node_map, edge_ids=edge_map)
 
 
@@ -360,5 +288,4 @@ def random_hypergraph(n_nodes: int, n_edges: int, nnz: int, seed: int) -> Hyperg
     if extras.size > need:
         extras = rng.choice(extras, size=need, replace=False)
     keys = np.concatenate([base, extras])
-    return _structure_from_indices(keys // n_edges, keys % n_edges,
-                                   n_nodes, n_edges)
+    return Hypergraph(keys // n_edges, keys % n_edges, n_nodes, n_edges)

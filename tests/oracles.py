@@ -12,7 +12,7 @@ the public single-column functions.
 :func:`row_load_incidence` and :func:`row_read_labels` are the reference
 for ingestion: the row-by-row ``csv.reader`` loop the columnar reader
 replaced, with one dict lookup per pair and the structure built from
-Python sets.
+Python sets into plain CSR lists, without the engine's ``Hypergraph``.
 """
 
 import csv
@@ -23,9 +23,9 @@ from concurrent.futures import ThreadPoolExecutor
 import numpy as np
 from scipy.stats import rankdata
 
-from hyperprop import (EmptyGraphError, Hypergraph, MetricCell,
-                       MetricReport, MissingColumnError, ParseError,
-                       PropagationConfig, SkippedCell, assign_folds, binarize,
+from hyperprop import (EmptyGraphError, MetricCell, MetricReport,
+                       MissingColumnError, ParseError, PropagationConfig,
+                       SkippedCell, assign_folds, binarize,
                        fit_naive_bayes, naive_bayes_log_odds, precision_at_k,
                        propagate, roc_auc)
 
@@ -44,10 +44,16 @@ def _guard_dense(h):
             f"got {h.n_nodes} * {h.n_edges}")
 
 
+def _edges_of(h, node):
+    """Hyperedges incident to ``node``: its row of ``H``, read from CSR."""
+    m = h.node_edge_matrix
+    return m.indices[m.indptr[node]:m.indptr[node + 1]]
+
+
 def _dense_incidence(h):
     H = np.zeros((h.n_nodes, h.n_edges))
-    for j in range(h.n_edges):
-        H[h.nodes_of(j), j] = 1.0
+    for i in range(h.n_nodes):
+        H[i, _edges_of(h, i)] = 1.0
     return H
 
 
@@ -143,7 +149,7 @@ def count_bayes_log_odds(h, train_nodes, train_labels, smoothing, nodes):
     sizes = {0: 0, 1: 0}
     for node, label in zip(train_nodes, train_labels):
         sizes[label] += 1
-        for e in h.edges_of(int(node)):
+        for e in _edges_of(h, int(node)):
             counts[label][int(e)] += 1
     total = {c: sum(counts[c]) for c in (0, 1)}
     likelihood = {
@@ -155,7 +161,7 @@ def count_bayes_log_odds(h, train_nodes, train_labels, smoothing, nodes):
     out = []
     for node in nodes:
         odds = {c: prior[c] for c in (0, 1)}
-        for e in h.edges_of(int(node)):
+        for e in _edges_of(h, int(node)):
             for c in (0, 1):
                 odds[c] *= likelihood[c][int(e)]
         out.append(math.log(odds[1]) - math.log(odds[0]))
@@ -318,7 +324,10 @@ def row_read_pairs(path, columns):
 
 
 def row_load_incidence(path, node_universe=()):
-    """``(Hypergraph, node ids, edge ids)`` from a pair-by-pair build."""
+    """``((node_ptr, node_adj, edge_ptr, edge_adj), node ids, edge ids)``.
+
+    The four lists are the CSR layouts of ``H`` and ``H^T``.
+    """
     node_index, edge_index = {}, {}
     for node in node_universe:
         node_index.setdefault(node, len(node_index))
@@ -339,10 +348,9 @@ def row_load_incidence(path, node_universe=()):
             ptr.append(ptr[-1] + len(m))
         return ptr, [b for m in members for b in m]
 
-    node_ptr, node_adj = csr(incidences, len(node_index))
-    edge_ptr, edge_adj = csr({(j, i) for i, j in incidences}, len(edge_index))
-    h = Hypergraph(node_ptr, node_adj, edge_ptr, edge_adj)
-    return h, tuple(node_index), tuple(edge_index)
+    arrays = (*csr(incidences, len(node_index)),
+              *csr({(j, i) for i, j in incidences}, len(edge_index)))
+    return arrays, tuple(node_index), tuple(edge_index)
 
 
 def row_read_labels(path):

@@ -222,7 +222,15 @@ class TestArgumentErrors:
         (["retrieve", "--labels", "labels.csv", "--method", "naive-bayes",
           "--smoothing", "nan"],
          "smoothing must be finite and >= 0, got nan"),
-    ], ids=["layers", "alpha", "smoothing"])
+        (["classify", "--labels", "labels.csv", "--jobs", "0"],
+         "n_jobs must be >= 1, got 0"),
+        (["retrieve", "--labels", "labels.csv", "--jobs", "-1"],
+         "n_jobs must be >= 1, got -1"),
+        (["classify", "--labels", "labels.csv", "--method", "naive-bayes",
+          "--layers", "0"],
+         "layers must be an integer >= 1"),
+    ], ids=["layers", "alpha", "smoothing", "jobs", "negative-jobs",
+            "naive-bayes-layers"])
     def test_bad_flag_fails_before_any_read(self, tmp_path, capsys, argv,
                                             message):
         missing = tmp_path / "missing.csv"

@@ -1,12 +1,17 @@
 import numpy as np
 import pytest
 
-from hyperprop import (EmptyGraphError, IdMap, build_hypergraph,
+from hyperprop import (EmptyGraphError, Hypergraph, IdMap, build_hypergraph,
                        random_hypergraph)
 
-from util import bernoulli_hypergraph
+from util import bernoulli_hypergraph, incidence_arrays
 
 PAIRS = [("a", "e1"), ("b", "e1"), ("b", "e2"), ("c", "e2")]
+
+
+def csr_rows(ptr, adj):
+    """Each row of a CSR layout as a list of column indices."""
+    return [adj[ptr[i]:ptr[i + 1]] for i in range(len(ptr) - 1)]
 
 
 class TestBuild:
@@ -21,6 +26,7 @@ class TestBuild:
     def test_duplicate_pairs_collapse(self):
         h, _ = build_hypergraph([("a", "e1"), ("a", "e1")])
         assert (h.n_nodes, h.n_edges, h.nnz) == (1, 1, 1)
+        assert h.node_edge_matrix.data.tolist() == [1.0]  # binary, not 2
 
     def test_empty_stream_rejected(self):
         with pytest.raises(EmptyGraphError):
@@ -47,22 +53,20 @@ class TestBuild:
         assert h.n_nodes == 4
         (z,) = maps.node_ids.lookup(["z"])
         assert h.node_degree[z] == 0
-        assert h.edges_of(z).size == 0
+        assert h.node_edge_matrix[z].nnz == 0
 
     def test_adjacency_views_sorted(self):
         # feed pairs in scrambled order; stored rows must come out sorted
         pairs = [("n", "e3"), ("n", "e1"), ("n", "e2"), ("m", "e1")]
-        h, maps = build_hypergraph(pairs)
-        (i,) = maps.node_ids.lookup(["n"])
-        assert h.edges_of(i).tolist() == sorted(h.edges_of(i).tolist())
-        for j in range(h.n_edges):
-            members = h.nodes_of(j).tolist()
-            assert members == sorted(members)
+        h, _ = build_hypergraph(pairs)
+        node_ptr, node_adj, edge_ptr, edge_adj = incidence_arrays(h)
+        for row in (csr_rows(node_ptr, node_adj)
+                    + csr_rows(edge_ptr, edge_adj)):
+            assert row == sorted(row)
 
     def test_arrays_immutable(self):
         h, _ = build_hypergraph(PAIRS)
-        arrays = [h.node_ptr, h.node_adj, h.edge_ptr, h.edge_adj,
-                  h.node_degree, h.edge_degree]
+        arrays = [h.node_degree, h.edge_degree]
         for matrix in (h.node_edge_matrix, h.edge_node_matrix):
             arrays += [matrix.data, matrix.indices, matrix.indptr]
         for arr in arrays:
@@ -72,11 +76,31 @@ class TestBuild:
             h.node_edge_matrix = None
 
     def test_adjacency_is_the_matrix_storage(self):
+        # H^T is the CSC view of H: each incidence is stored once
         h, _ = build_hypergraph(PAIRS)
-        assert np.shares_memory(h.node_adj, h.node_edge_matrix.indices)
-        assert np.shares_memory(h.edge_adj, h.edge_node_matrix.indices)
-        assert np.shares_memory(h.node_edge_matrix.data,
-                                h.edge_node_matrix.data)
+        for name in ("data", "indices", "indptr"):
+            assert np.shares_memory(getattr(h.node_edge_matrix, name),
+                                    getattr(h.edge_node_matrix, name)), name
+        assert np.array_equal(h.edge_node_matrix.toarray(),
+                              h.node_edge_matrix.toarray().T)
+
+    def test_transpose_view_products_match_its_csr_form(self):
+        # both sum each edge's members in ascending node order
+        rng = np.random.default_rng(19)
+        for _ in range(20):
+            h = bernoulli_hypergraph(rng)
+            ht = h.edge_node_matrix.tocsr()
+            for width in range(1, 9):
+                x = rng.normal(size=(h.n_nodes, width))
+                assert np.array_equal(h.edge_node_matrix @ x, ht @ x)
+
+    def test_constructor_rejects_bad_indices(self):
+        with pytest.raises(ValueError, match="empty hyperedges"):
+            Hypergraph([0, 1], [0, 0], 2, 2)   # edge 1 has no member
+        with pytest.raises(ValueError):
+            Hypergraph([0, -1], [0, 1], 2, 2)  # negative node index
+        with pytest.raises(ValueError):
+            Hypergraph([0, 1], [0, 2], 2, 2)   # edge index out of range
 
 
 class TestIdMap:
@@ -101,12 +125,12 @@ class TestStructureInvariants:
         rng = np.random.default_rng(7)
         for _ in range(50):
             h = bernoulli_hypergraph(rng, max_nodes=100, max_edges=100)
+            node_ptr, node_adj, edge_ptr, edge_adj = incidence_arrays(h)
             rebuilt = [[] for _ in range(h.n_nodes)]
-            for j in range(h.n_edges):
-                for i in h.nodes_of(j):
-                    rebuilt[int(i)].append(j)
-            for i in range(h.n_nodes):
-                assert rebuilt[i] == h.edges_of(i).tolist()
+            for j, members in enumerate(csr_rows(edge_ptr, edge_adj)):
+                for i in members:
+                    rebuilt[i].append(j)
+            assert rebuilt == csr_rows(node_ptr, node_adj)
 
     def test_degree_sums_equal_nnz(self):
         rng = np.random.default_rng(11)
@@ -125,8 +149,9 @@ class TestStructureInvariants:
         rng.shuffle(shuffled)
         h2, m2 = build_hypergraph(shuffled)
         as_ids = lambda h, m: {
-            (m.node_ids.id_of(i), m.edge_ids.id_of(int(j)))
-            for i in range(h.n_nodes) for j in h.edges_of(i)
+            (m.node_ids.id_of(i), m.edge_ids.id_of(j))
+            for i, row in enumerate(csr_rows(*incidence_arrays(h)[:2]))
+            for j in row
         }
         assert as_ids(h1, m1) == as_ids(h2, m2)
 
@@ -138,8 +163,7 @@ class TestStructureInvariants:
         rng.shuffle(tail)
         h1, _ = build_hypergraph(pairs)
         h2, _ = build_hypergraph(pairs + tail)  # same first appearances
-        for name in ("node_ptr", "node_adj", "edge_ptr", "edge_adj"):
-            assert np.array_equal(getattr(h1, name), getattr(h2, name))
+        assert incidence_arrays(h1) == incidence_arrays(h2)
 
 
 class TestRandomHypergraph:
@@ -151,8 +175,7 @@ class TestRandomHypergraph:
     def test_deterministic(self):
         a = random_hypergraph(100, 20, 300, seed=5)
         b = random_hypergraph(100, 20, 300, seed=5)
-        assert np.array_equal(a.node_adj, b.node_adj)
-        assert np.array_equal(a.edge_adj, b.edge_adj)
+        assert incidence_arrays(a) == incidence_arrays(b)
 
     def test_rejects_bad_sizes(self):
         with pytest.raises(ValueError):

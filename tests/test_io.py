@@ -13,6 +13,7 @@ from hyperprop import (MetricCell, MetricReport, MissingColumnError,
                        load_labels, load_signal, write_report, write_signal)
 from hyperprop.io import canonical_json_bytes, read_labels, report_to_dict
 from oracles import row_load_incidence
+from util import incidence_arrays
 
 INCIDENCE = "nodeId,edgeId\na,e1\nb,e1\nb,e2\nc,e2\n"
 LABELS = "nodeId,label\na,art\nb,bio\nc,art\n"
@@ -51,8 +52,7 @@ class TestLoadIncidence:
         dup.write_text(INCIDENCE + "a,e1\n")
         h1, _ = load_incidence(incidence_file)
         h2, _ = load_incidence(dup)
-        assert np.array_equal(h1.node_adj, h2.node_adj)
-        assert np.array_equal(h1.edge_adj, h2.edge_adj)
+        assert incidence_arrays(h1) == incidence_arrays(h2)
 
     def test_tab_delimiter_and_column_order(self, tmp_path):
         path = tmp_path / "tabs.tsv"
@@ -82,8 +82,7 @@ class TestLoadIncidence:
     def test_loading_is_idempotent(self, incidence_file):
         h1, _ = load_incidence(incidence_file)
         h2, _ = load_incidence(incidence_file)
-        for name in ("node_ptr", "node_adj", "edge_ptr", "edge_adj"):
-            assert np.array_equal(getattr(h1, name), getattr(h2, name))
+        assert incidence_arrays(h1) == incidence_arrays(h2)
 
 
 class TestColumnarReader:
@@ -199,12 +198,11 @@ class TestColumnarReader:
             tracemalloc.stop()
         # a rows x longest-id layout would need 50,000 x 100,000 bytes
         assert peak < 16 * 2**20
-        h_ref, node_ids, edge_ids = row_load_incidence(path)
+        want, node_ids, edge_ids = row_load_incidence(path)
         assert maps.node_ids.ids == node_ids
         assert maps.edge_ids.ids == edge_ids
         assert long_id in node_ids and long_id in edge_ids
-        for name in ("node_ptr", "node_adj", "edge_ptr", "edge_adj"):
-            assert np.array_equal(getattr(h, name), getattr(h_ref, name))
+        assert incidence_arrays(h) == want
 
     @pytest.mark.parametrize("rows", [
         [f"{'a' * k},e{k % 3}" for k in (7, 8, 9, 16, 17, 8, 9)]
@@ -222,10 +220,10 @@ class TestColumnarReader:
         path.write_text("nodeId,edgeId\n" + "\n".join(rows) + "\n",
                         encoding="utf-8")
         h, maps = load_incidence(path)
-        h_ref, node_ids, edge_ids = row_load_incidence(path)
+        want, node_ids, edge_ids = row_load_incidence(path)
         assert maps.node_ids.ids == node_ids
         assert maps.edge_ids.ids == edge_ids
-        assert np.array_equal(h.node_adj, h_ref.node_adj)
+        assert incidence_arrays(h) == want
 
     def test_ragged_row_wins_over_a_later_label_conflict(self, tmp_path):
         path = tmp_path / "labels.csv"

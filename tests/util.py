@@ -22,6 +22,19 @@ def bernoulli_hypergraph(rng, max_nodes=50, max_edges=30, p=0.2):
     return h
 
 
+def incidence_arrays(h):
+    """The CSR ``indptr``/``indices`` of ``H`` and of ``H^T``, as four lists.
+
+    ``H^T`` is stored only as a view of ``H``; its CSR form is built here,
+    so two graphs compare equal on all four only if both directions of
+    traversal agree.  Lists compare with ``==`` whatever the index dtype.
+    """
+    ht = h.edge_node_matrix.tocsr()
+    return tuple(a.tolist() for a in (h.node_edge_matrix.indptr,
+                                      h.node_edge_matrix.indices,
+                                      ht.indptr, ht.indices))
+
+
 def random_signal(rng, n_rows, max_cols=4):
     d = int(rng.integers(1, max_cols + 1))
     return rng.normal(size=(n_rows, d))
