@@ -21,10 +21,11 @@ A (class, fold) pair is one cell of the report.  The harness works in
 (fold, class block) units: for one fold, a block of classes is scored
 together as the columns of one signal matrix, with one propagation (or
 one batched Naive Bayes fit and score) and one column-wise metric pass.
-Every column gets the value it would get alone.  Classification reads
-only the test rows of a propagation, so the last layer is computed for
-those rows alone (``propagate(..., nodes=)``); retrieval ranks most rows
-and propagates all of them.  A block holds as many classes as fit one
+Every column gets the value it would get alone.  The known rows (the
+training folds, or the training fold) give the seed or the Naive Bayes
+labels, and only the other rows are ranked, so the last propagation
+layer runs on those rows alone (``propagate(..., nodes=)``), in either
+protocol.  A block holds as many classes as fit one
 ``n_nodes x block`` float64 matrix in ``_BLOCK_BYTES``.  Units are
 independent: the harness can run them on a thread pool, and results are
 identical for any worker count and block size.  A cell's ``micros`` is
@@ -156,7 +157,10 @@ class SkippedCell:
 
 @dataclass(frozen=True)
 class MetricReport:
-    """Per-cell results plus two-stage aggregates for one harness run."""
+    """Per-cell results plus two-stage aggregates for one harness run.
+
+    ``class_names[c]`` names class id ``c``; a class without one is
+    named by its id."""
 
     dataset: str
     task: str
@@ -166,6 +170,10 @@ class MetricReport:
     class_names: tuple
     cells: tuple
     skipped: tuple = field(default_factory=tuple)
+
+    def __post_init__(self):
+        names = () if self.class_names is None else self.class_names
+        object.__setattr__(self, "class_names", tuple(str(n) for n in names))
 
     def _class_means(self, attr: str) -> dict:
         """Mean of one cell attribute per class, in class-id order."""
@@ -191,8 +199,8 @@ class MetricReport:
         return self._two_stage_mean("micros")
 
     def class_name(self, class_id: int) -> str:
-        if self.class_names and 0 <= class_id < len(self.class_names):
-            return str(self.class_names[class_id])
+        if 0 <= class_id < len(self.class_names):
+            return self.class_names[class_id]
         return str(class_id)
 
 
@@ -220,44 +228,34 @@ def _skip_reasons(y, fold_mask, task) -> list:
     return reasons
 
 
-def _classification_block(h, y, test_mask, task):
-    """ROC-AUC per class column of ``y`` with ``test_mask`` hidden."""
-    test_idx = np.flatnonzero(test_mask)
+def _score_block(h, y, fold_mask, task, rngs):
+    """The metric per class column of ``y`` for one fold, ranking every
+    row but the known ones: the other folds in classification, the fold
+    itself in retrieval.  ``rngs`` yields one generator per column, drawn
+    from only for retrieval's pseudo-negatives."""
+    known = fold_mask if task.task == "retrieval" else ~fold_mask
+    ranked = np.flatnonzero(~known)
+    seed = known[:, None] & y
     if task.method == "propagation":
-        x0 = (~test_mask[:, None] & y).astype(np.float64)
+        x0 = seed.astype(np.float64)
         t0 = time.perf_counter()
-        scores = propagate(h, x0, task.propagation, nodes=test_idx)
+        scores = propagate(h, x0, task.propagation, nodes=ranked)
         micros = (time.perf_counter() - t0) * 1e6
     else:
-        train_idx = np.flatnonzero(~test_mask)
+        if task.task == "classification":
+            train = np.where(known[:, None], y, np.int8(-1))
+        else:
+            train = np.where(seed, np.int8(1), np.int8(-1))
+            for col, rng in enumerate(rngs):
+                pool = np.flatnonzero(~seed[:, col])
+                train[rng.choice(pool, size=ranked.size, replace=False), col] = 0
         t0 = time.perf_counter()
-        model = fit_naive_bayes(h, train_idx, y[train_idx], task.smoothing)
-        scores = naive_bayes_log_odds(model, h, test_idx)
+        model = fit_naive_bayes(h, train, task.smoothing)
+        scores = naive_bayes_log_odds(model, h, ranked)
         micros = (time.perf_counter() - t0) * 1e6
-    return roc_auc(scores, y[test_mask]), micros
-
-
-def _retrieval_block(h, y, fold_mask, task, rngs):
-    """Precision@k per class column of ``y`` trained on ``fold_mask``."""
-    train_pos = fold_mask[:, None] & y
-    test_mask = ~fold_mask
-    if task.method == "propagation":
-        x0 = train_pos.astype(np.float64)
-        t0 = time.perf_counter()
-        scores = propagate(h, x0, task.propagation)
-        micros = (time.perf_counter() - t0) * 1e6
-        scores = scores[test_mask]
-    else:
-        train = np.where(train_pos, np.int8(1), np.int8(-1))
-        n_test = int(test_mask.sum())
-        for col, rng in enumerate(rngs):
-            pool = np.flatnonzero(~train_pos[:, col])
-            train[rng.choice(pool, size=n_test, replace=False), col] = 0
-        t0 = time.perf_counter()
-        model = fit_naive_bayes(h, np.arange(h.n_nodes), train, task.smoothing)
-        scores = naive_bayes_log_odds(model, h, np.flatnonzero(test_mask))
-        micros = (time.perf_counter() - t0) * 1e6
-    return precision_at_k(scores, y[test_mask], task.top_k), micros
+    if task.task == "classification":
+        return roc_auc(scores, y[ranked]), micros
+    return precision_at_k(scores, y[ranked], task.top_k), micros
 
 
 def check_n_jobs(n_jobs: int) -> None:
@@ -293,12 +291,9 @@ def _run(h: Hypergraph, labels, task: TaskSpec, dataset_name, class_names,
 
     def compute(unit):
         fold, block = unit
-        if task.task == "classification":
-            return _classification_block(h, y[:, block],
-                                         assignment.folds == fold, task)
-        rngs = [_cell_rng(task.seed, class_pos, fold) for class_pos in block]
-        return _retrieval_block(h, y[:, block], assignment.folds == fold,
-                                task, rngs)
+        rngs = (_cell_rng(task.seed, class_pos, fold) for class_pos in block)
+        return _score_block(h, y[:, block], assignment.folds == fold, task,
+                            rngs)
 
     if n_jobs > 1:
         with ThreadPoolExecutor(max_workers=n_jobs) as pool:
@@ -328,11 +323,9 @@ def _run(h: Hypergraph, labels, task: TaskSpec, dataset_name, class_names,
         params.update(variant=cfg.variant, layers=cfg.layers, alpha=cfg.alpha)
     else:
         params["smoothing"] = task.smoothing
-    names = tuple(str(c) for c in classes) if class_names is None \
-        else tuple(str(n) for n in class_names)
     return MetricReport(dataset=dataset_name, task=task.task,
                         method=task.method, metric=task.metric_name,
-                        params=params, class_names=names,
+                        params=params, class_names=class_names,
                         cells=tuple(cells), skipped=tuple(skipped))
 
 

@@ -163,13 +163,16 @@ def _read_only(arr: np.ndarray) -> np.ndarray:
 
 
 def _check_nodes(nodes, h: Hypergraph) -> np.ndarray:
-    """``nodes`` as an int64 array of node ids in ``[0, n_nodes)``.
+    """``nodes`` as a 1-D int64 array of node ids in ``[0, n_nodes)``.
 
-    Raises :class:`ShapeError` for a non-integer array, such as a boolean
-    mask (numpy would read it as ids 0 and 1), and for an id outside the
-    range (numpy would wrap a negative id or raise ``IndexError``).
+    Raises :class:`ShapeError` for any other shape, for a non-integer
+    array, such as a boolean mask (numpy would read it as ids 0 and 1),
+    and for an id outside the range (numpy would wrap a negative id or
+    raise ``IndexError``).
     """
     arr = np.asarray(nodes)
+    if arr.ndim != 1:
+        raise ShapeError(f"nodes must be 1-D, got {arr.ndim}-D")
     if arr.size and arr.dtype.kind not in "iu":
         raise ShapeError(f"node ids must be integers, got dtype {arr.dtype}")
     arr = arr.astype(np.int64, copy=False)

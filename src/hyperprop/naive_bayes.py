@@ -2,16 +2,17 @@
 
 Each hyperedge is treated as one feature; a node's feature vector is the
 one-hot row of the incidence matrix, so every (node, edge) incidence
-counts as a single feature occurrence.  Likelihoods are estimated from a
-labeled training set with additive (Laplace) smoothing, and nodes are
+counts as a single feature occurrence.  Likelihoods are estimated from
+the labeled nodes with additive (Laplace) smoothing, and nodes are
 scored by the log-posterior-odds of the positive class.  Log-odds rather
 than probabilities keeps the score stable for nodes with hundreds of
 incident edges.
 
-Several binary models over one hypergraph can be fitted and scored as a
-batch, one per column of a label matrix, the way :func:`propagate`
-treats the columns of a signal; each column's model is the one its
-labels would fit alone.
+The training labels are one array over all nodes, the way
+:func:`propagate` takes a signal, with -1 on nodes left out; the edge
+counts of class ``c`` are ``H^T [y == c]``.  A label matrix fits and
+scores a batch, one model per column, each the one its column would fit
+alone.
 """
 
 from __future__ import annotations
@@ -50,20 +51,16 @@ class NaiveBayesModel:
         return self.feature_log_likelihood.shape[1]
 
 
-def fit_naive_bayes(h: Hypergraph, train_nodes, train_labels,
+def fit_naive_bayes(h: Hypergraph, labels,
                     smoothing: float = 1.0) -> NaiveBayesModel:
-    """Fit the binary model on a training subset of nodes.
+    """Fit the binary model on the labeled nodes.
 
     Parameters
     ----------
     h : Hypergraph
-    train_nodes : int array
-        Node indices of the training set.
-    train_labels : array of 0/1, or 2-D array of -1/0/1
-        Binary label per training node, aligned with ``train_nodes``.  A
-        2-D array of shape ``(len(train_nodes), d)`` fits a batch of
-        ``d`` models, one per column; ``-1`` leaves a node out of that
-        column's training set.
+    labels : array of -1/0/1, shape ``(n_nodes,)`` or ``(n_nodes, d)``
+        Binary label per node; ``-1`` leaves the node out of training.
+        A 2-D array fits a batch of ``d`` models, one per column.
     smoothing : float, finite and >= 0
         Additive smoothing constant applied per feature (default 1.0).
 
@@ -72,29 +69,18 @@ def fit_naive_bayes(h: Hypergraph, train_nodes, train_labels,
     MissingClassError
         If either class has no training node (in any column).
     ShapeError
-        If the training node ids are not integers or one lies outside
-        ``[0, h.n_nodes)``.
+        If ``labels`` is not 1-D or 2-D with one row per node.
     """
-    train_nodes = _check_nodes(train_nodes, h)
-    train_labels = np.asarray(train_labels)
-    if (train_nodes.ndim != 1 or train_labels.ndim not in (1, 2)
-            or train_labels.shape[0] != train_nodes.size):
-        raise ShapeError("train_labels must be 1-D or 2-D with one row per "
-                         "entry of the 1-D train_nodes")
-    if train_nodes.size == 0:
-        raise MissingClassError("training set is empty")
-    allowed = (train_labels == 0) | (train_labels == 1)
-    if train_labels.ndim == 2:
-        allowed |= train_labels == -1
-    if not allowed.all():
-        raise ValueError("train_labels must be binary (0/1), or -1/0/1 "
-                         "when 2-D")
+    labels = np.asarray(labels)
+    if labels.ndim not in (1, 2) or labels.shape[0] != h.n_nodes:
+        raise ShapeError(f"labels must be 1-D or 2-D with {h.n_nodes} rows, "
+                         f"got shape {labels.shape}")
+    if not ((labels == -1) | (labels == 0) | (labels == 1)).all():
+        raise ValueError("labels must be -1, 0 or 1")
     if not np.isfinite(smoothing) or smoothing < 0:
         raise ValueError(f"smoothing must be finite and >= 0, got {smoothing}")
 
-    columns = train_labels.reshape(train_nodes.size, -1)
-    # edge x training-entry incidence: a node listed twice counts twice
-    incidence = h.node_edge_matrix[train_nodes].T
+    columns = labels.reshape(h.n_nodes, -1)
     counts = np.empty((2, h.n_edges, columns.shape[1]))
     class_sizes = np.empty((2, columns.shape[1]))
     for c in (0, 1):
@@ -103,13 +89,13 @@ def fit_naive_bayes(h: Hypergraph, train_nodes, train_labels,
         if not class_sizes[c].all():
             raise MissingClassError(f"no training nodes with label {c}")
         # integer-valued, so exact whatever the summation order
-        counts[c] = incidence @ members.astype(np.float64)
+        counts[c] = h.edge_node_matrix @ members.astype(np.float64)
 
     with np.errstate(divide="ignore"):
         fll = np.log(counts + smoothing)
         fll -= np.log(counts.sum(axis=1) + smoothing * h.n_edges)[:, None]
         prior = np.log(class_sizes / class_sizes.sum(axis=0))
-    if train_labels.ndim == 1:
+    if labels.ndim == 1:
         fll, prior = fll[..., 0], prior[:, 0]
     return NaiveBayesModel(class_log_prior=prior,
                            feature_log_likelihood=fll,
@@ -140,7 +126,7 @@ def naive_bayes_log_odds(model: NaiveBayesModel, h: Hypergraph,
     ------
     ShapeError
         If the model was fitted on a different edge universe, or ``nodes``
-        is not an integer array or holds an id outside ``[0, h.n_nodes)``.
+        is not a 1-D integer array of ids in ``[0, h.n_nodes)``.
     """
     if model.n_features != h.n_edges:
         raise ShapeError(

@@ -180,8 +180,6 @@ def propagate(h: Hypergraph, x, config: PropagationConfig,
     x2, was_1d = _as_signal(x, h.n_nodes, "node")
     if nodes is not None:
         nodes = _check_nodes(nodes, h)
-        if nodes.ndim != 1:
-            raise ShapeError(f"nodes must be 1-D, got {nodes.ndim}-D")
     out_power, in_power, residual = _LAYER_SHAPES[config.variant]
     out_scale = None if out_power is None else h.inv_node_degree(out_power)
     in_scale = None if in_power is None else h.inv_node_degree(in_power)

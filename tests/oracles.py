@@ -178,12 +178,11 @@ def _classification_cell(h, y, test_mask, task):
         scores = propagate(h, x0, task.propagation)
         micros = (time.perf_counter() - t0) * 1e6
         return (roc_auc(scores[test_mask], y_test), micros), None
-    train_idx = np.flatnonzero(~test_mask)
-    y_train = y[train_idx]
+    y_train = y[~test_mask]
     if y_train.min() == y_train.max():
         return None, "training folds contain a single class"
     t0 = time.perf_counter()
-    model = fit_naive_bayes(h, train_idx, y_train, task.smoothing)
+    model = fit_naive_bayes(h, np.where(test_mask, -1, y), task.smoothing)
     scores = naive_bayes_log_odds(model, h, np.flatnonzero(test_mask))
     micros = (time.perf_counter() - t0) * 1e6
     return (roc_auc(scores, y_test), micros), None
@@ -204,11 +203,10 @@ def _retrieval_cell(h, y, fold_mask, task, rng):
         return (value, micros), None
     pool = np.flatnonzero(~train_pos)
     pseudo_neg = rng.choice(pool, size=int(test_mask.sum()), replace=False)
-    train_idx = np.concatenate([np.flatnonzero(train_pos), pseudo_neg])
-    train_y = np.concatenate([np.ones(int(train_pos.sum()), dtype=np.int64),
-                              np.zeros(pseudo_neg.size, dtype=np.int64)])
+    train_y = np.where(train_pos, 1, -1)
+    train_y[pseudo_neg] = 0
     t0 = time.perf_counter()
-    model = fit_naive_bayes(h, train_idx, train_y, task.smoothing)
+    model = fit_naive_bayes(h, train_y, task.smoothing)
     scores = naive_bayes_log_odds(model, h, np.flatnonzero(test_mask))
     micros = (time.perf_counter() - t0) * 1e6
     return (precision_at_k(scores, y_test, task.top_k), micros), None
@@ -261,11 +259,9 @@ def per_cell_report(h, labels, task, *, dataset_name="", class_names=None,
         params.update(variant=cfg.variant, layers=cfg.layers, alpha=cfg.alpha)
     else:
         params["smoothing"] = task.smoothing
-    names = tuple(str(c) for c in classes) if class_names is None \
-        else tuple(str(n) for n in class_names)
     return MetricReport(dataset=dataset_name, task=task.task,
                         method=task.method, metric=task.metric_name,
-                        params=params, class_names=names,
+                        params=params, class_names=class_names,
                         cells=tuple(cells), skipped=tuple(skipped))
 
 

@@ -77,6 +77,14 @@ class TestMetricReport:
         assert report.per_class_mean() == {0: 0.7, 1: 1.0}
         assert report.mean() == pytest.approx(0.85)
 
+    def test_classes_without_names_are_named_by_their_ids(self):
+        h, labels = two_cliques()
+        report = run_classification(h, labels + 1,  # class ids 1 and 2
+                                    TaskSpec(task="classification", n_folds=2))
+        doc = report_to_dict(report)
+        assert {c["class"] for c in doc["cells"]} == {"1", "2"}
+        assert doc["per_class_mean"] == {"1": 1.0, "2": 1.0}
+
     def test_empty_report_has_no_mean(self):
         report = MetricReport(dataset="d", task="classification",
                               method="propagation", metric="auc", params={},

@@ -20,7 +20,7 @@ class TestFit:
     def test_worked_example_likelihoods(self, chain):
         # train u1 positive, u3 negative, Laplace smoothing 1:
         # p(e1|1) = (1+1)/(1+2) = 2/3, p(e2|1) = 1/3, mirrored for class 0
-        model = fit_naive_bayes(chain, [0, 2], [1, 0], smoothing=1.0)
+        model = fit_naive_bayes(chain, [1, -1, 0], smoothing=1.0)
         np.testing.assert_allclose(np.exp(model.feature_log_likelihood[1]),
                                    [2 / 3, 1 / 3])
         np.testing.assert_allclose(np.exp(model.feature_log_likelihood[0]),
@@ -32,7 +32,7 @@ class TestFit:
             h = bernoulli_hypergraph(rng)
             labels = rng.integers(0, 2, size=h.n_nodes)
             labels[:2] = [0, 1]
-            model = fit_naive_bayes(h, np.arange(h.n_nodes), labels,
+            model = fit_naive_bayes(h, labels,
                                     smoothing=rng.uniform(0.1, 3.0))
             np.testing.assert_allclose(
                 np.exp(model.feature_log_likelihood).sum(axis=1), 1.0)
@@ -40,7 +40,7 @@ class TestFit:
 
     def test_zero_smoothing_concentrates_mass(self, chain):
         # one positive node incident to e1 only: all class-1 mass on e1
-        model = fit_naive_bayes(chain, [0, 2], [1, 0], smoothing=0.0)
+        model = fit_naive_bayes(chain, [1, -1, 0], smoothing=0.0)
         np.testing.assert_allclose(np.exp(model.feature_log_likelihood[1]),
                                    [1.0, 0.0])
 
@@ -48,13 +48,13 @@ class TestFit:
     def test_smoothing_must_be_finite_and_non_negative(self, chain,
                                                        smoothing):
         with pytest.raises(ValueError, match="smoothing"):
-            fit_naive_bayes(chain, [0, 2], [1, 0], smoothing=smoothing)
+            fit_naive_bayes(chain, [1, -1, 0], smoothing=smoothing)
 
     def test_mirror_symmetric_classes(self):
         # class 1 lives in edge A, class 0 in edge B, fully symmetric
         h, maps = build_hypergraph(
             [("p1", "A"), ("p2", "A"), ("n1", "B"), ("n2", "B")])
-        model = fit_naive_bayes(h, np.arange(4), [1, 1, 0, 0])
+        model = fit_naive_bayes(h, [1, 1, 0, 0])
         a, b = maps.edge_ids.lookup(["A", "B"])
         swap = np.array([b, a]) if a == 0 else np.array([a, b])
         np.testing.assert_allclose(model.feature_log_likelihood[1],
@@ -62,21 +62,26 @@ class TestFit:
 
     def test_missing_class(self, chain):
         with pytest.raises(MissingClassError):
-            fit_naive_bayes(chain, [0, 1], [1, 1])
+            fit_naive_bayes(chain, [1, 1, -1])
         with pytest.raises(MissingClassError):
-            fit_naive_bayes(chain, [], [])
+            fit_naive_bayes(chain, [-1, -1, -1])  # nothing labeled
 
-    @pytest.mark.parametrize("nodes", [[-1, 0], [0, 5], [0, 3]])
-    def test_node_ids_outside_graph_rejected(self, chain, nodes):
-        # -1 would train on the last node; 5 would raise a bare IndexError
-        bad = [n for n in nodes if not 0 <= n < 3][0]
-        with pytest.raises(ShapeError, match=f"node id {bad} outside"):
-            fit_naive_bayes(chain, nodes, [1, 0])
+    @pytest.mark.parametrize("labels", [[1, 0], [1, 0, 0, 1], [[1], [0]],
+                                        np.zeros((3, 1, 1)), 1])
+    def test_labels_need_one_row_per_node(self, chain, labels):
+        with pytest.raises(ShapeError):
+            fit_naive_bayes(chain, labels)
+
+    @pytest.mark.parametrize("labels", [[1, 0.5, 0], [1, 2, 0], [1, -2, 0]])
+    def test_label_values_checked(self, chain, labels):
+        # 0.5 is not truncated to 0, and no other negative means "left out"
+        with pytest.raises(ValueError, match="-1, 0 or 1"):
+            fit_naive_bayes(chain, labels)
 
 
 class TestScore:
     def test_worked_example_score(self, chain):
-        model = fit_naive_bayes(chain, [0, 2], [1, 0], smoothing=1.0)
+        model = fit_naive_bayes(chain, [1, -1, 0], smoothing=1.0)
         scores = naive_bayes_log_odds(model, chain)
         # u2 touches both edges whose likelihood ratios cancel exactly
         np.testing.assert_allclose(scores[1], 0.0, atol=1e-15)
@@ -87,7 +92,7 @@ class TestScore:
     def test_isolated_node_scores_prior_log_odds(self):
         h, _ = build_hypergraph(CHAIN_PAIRS,
                                 node_universe=["u1", "u2", "u3", "iso"])
-        model = fit_naive_bayes(h, [0, 2, 2], [1, 0, 0])
+        model = fit_naive_bayes(h, [1, 0, 0, -1])
         prior = model.class_log_prior[1] - model.class_log_prior[0]
         assert prior != 0.0
         np.testing.assert_allclose(naive_bayes_log_odds(model, h, [3]),
@@ -97,7 +102,7 @@ class TestScore:
         # every edge equally frequent in both classes, no smoothing
         h, _ = build_hypergraph(
             [("p1", "e1"), ("n1", "e1"), ("p2", "e2"), ("n2", "e2")])
-        model = fit_naive_bayes(h, np.arange(4), [1, 0, 1, 0], smoothing=0.0)
+        model = fit_naive_bayes(h, [1, 0, 1, 0], smoothing=0.0)
         scores = naive_bayes_log_odds(model, h)
         prior = model.class_log_prior[1] - model.class_log_prior[0]
         np.testing.assert_allclose(scores, prior)
@@ -105,7 +110,7 @@ class TestScore:
     def test_informative_edge_strictly_increases_score(self):
         pairs = CHAIN_PAIRS + [("u4", "e3"), ("u1", "e3")]
         h1, _ = build_hypergraph(pairs)
-        model = fit_naive_bayes(h1, [0, 2], [1, 0], smoothing=1.0)
+        model = fit_naive_bayes(h1, [1, -1, 0, -1], smoothing=1.0)
         ratio = (model.feature_log_likelihood[1]
                  - model.feature_log_likelihood[0])
         assert ratio[0] > 0  # e1 is positive evidence
@@ -125,33 +130,38 @@ class TestScore:
         shuffled = list(pairs)
         rng.shuffle(shuffled)  # permutes edge index assignment
         h2, _ = build_hypergraph(shuffled, node_universe=universe)
-        train = np.arange(len(universe))
-        labels = rng.integers(0, 2, size=train.size)
+        labels = rng.integers(0, 2, size=len(universe))
         labels[:2] = [0, 1]
-        s1 = naive_bayes_log_odds(fit_naive_bayes(h1, train, labels), h1)
-        s2 = naive_bayes_log_odds(fit_naive_bayes(h2, train, labels), h2)
+        s1 = naive_bayes_log_odds(fit_naive_bayes(h1, labels), h1)
+        s2 = naive_bayes_log_odds(fit_naive_bayes(h2, labels), h2)
         np.testing.assert_allclose(s1, s2, atol=1e-12)
 
     def test_universe_mismatch(self, chain):
         other, _ = build_hypergraph([("a", "x")])
-        model = fit_naive_bayes(chain, [0, 2], [1, 0])
+        model = fit_naive_bayes(chain, [1, -1, 0])
         with pytest.raises(ShapeError):
             naive_bayes_log_odds(model, other)
 
     @pytest.mark.parametrize("nodes", [[-1], [1, 3]])
     def test_node_ids_outside_graph_rejected(self, chain, nodes):
-        model = fit_naive_bayes(chain, [0, 2], [1, 0])
+        model = fit_naive_bayes(chain, [1, -1, 0])
         with pytest.raises(ShapeError, match="outside"):
+            naive_bayes_log_odds(model, chain, nodes)
+
+    @pytest.mark.parametrize("nodes", [1, [[0, 1]], [[0], [2]]])
+    def test_node_ids_not_1d_rejected(self, chain, nodes):
+        # scipy would score a scalar id as a 1-row matrix, and a 2-D index
+        # escaped as a bare IndexError
+        model = fit_naive_bayes(chain, [1, -1, 0])
+        with pytest.raises(ShapeError, match="1-D"):
             naive_bayes_log_odds(model, chain, nodes)
 
     @pytest.mark.parametrize("nodes", [[True, False, True], [0.0, 2.0]])
     def test_non_integer_node_ids_rejected(self, chain, nodes):
         # a mask would score nodes 1, 0, 1; floats would be truncated
-        model = fit_naive_bayes(chain, [0, 2], [1, 0])
+        model = fit_naive_bayes(chain, [1, -1, 0])
         with pytest.raises(ShapeError, match="integers"):
             naive_bayes_log_odds(model, chain, nodes)
-        with pytest.raises(ShapeError, match="integers"):
-            fit_naive_bayes(chain, nodes, [1, 0, 1][:len(nodes)])
 
     def test_matches_count_oracle_on_random_instances(self):
         rng = np.random.default_rng(2)
@@ -162,7 +172,9 @@ class TestScore:
             labels = rng.integers(0, 2, size=size)
             labels[:2] = [0, 1]
             smoothing = float(rng.uniform(0.2, 2.5))
-            model = fit_naive_bayes(h, train, labels, smoothing)
+            over_all = np.full(h.n_nodes, -1)
+            over_all[train] = labels
+            model = fit_naive_bayes(h, over_all, smoothing)
             got = naive_bayes_log_odds(model, h)
             want = oracles.count_bayes_log_odds(h, train, labels, smoothing,
                                                 nodes=range(h.n_nodes))
@@ -170,7 +182,7 @@ class TestScore:
 
 
 class TestBatch:
-    """A 2-D label matrix fits one model per column; -1 leaves a node out."""
+    """A 2-D label matrix fits one model per column."""
 
     def test_each_column_equals_its_own_fit(self):
         rng = np.random.default_rng(5)
@@ -181,13 +193,11 @@ class TestBatch:
             labels = rng.integers(-1, 2, size=(h.n_nodes, d))
             labels[:2] = [[0], [1]]
             smoothing = float(rng.uniform(0.0, 2.0))
-            batch = fit_naive_bayes(h, nodes, labels, smoothing)
+            batch = fit_naive_bayes(h, labels, smoothing)
             scores = naive_bayes_log_odds(batch, h, nodes[::2])
             assert scores.shape == (nodes[::2].size, d)
             for j in range(d):
-                keep = labels[:, j] >= 0
-                alone = fit_naive_bayes(h, nodes[keep], labels[keep, j],
-                                        smoothing)
+                alone = fit_naive_bayes(h, labels[:, j], smoothing)
                 assert np.array_equal(batch.feature_log_likelihood[..., j],
                                       alone.feature_log_likelihood)
                 assert np.array_equal(batch.class_log_prior[:, j],
@@ -197,12 +207,4 @@ class TestBatch:
 
     def test_missing_class_in_any_column(self, chain):
         with pytest.raises(MissingClassError):
-            fit_naive_bayes(chain, [0, 1, 2], [[1, 1], [0, -1], [0, -1]])
-
-    def test_label_values_checked(self, chain):
-        with pytest.raises(ValueError):
-            fit_naive_bayes(chain, [0, 2], [1, -1])      # -1 only in 2-D
-        with pytest.raises(ValueError):
-            fit_naive_bayes(chain, [0, 2], [1, 0.5])     # not truncated to 0
-        with pytest.raises(ShapeError):
-            fit_naive_bayes(chain, [0, 2], [[1], [0], [1]])
+            fit_naive_bayes(chain, [[1, 1], [0, -1], [0, -1]])

@@ -297,9 +297,11 @@ class TestNodes:
         assert out.shape == (0,)
 
     @pytest.mark.parametrize("nodes", [[-1], [0, 3], [[0, 1]],
-                                       [True, False, True], [0.5]])
+                                       [True, False, True], [0.5], 1,
+                                       [[0], [2]]])
     def test_bad_node_ids_rejected(self, chain, nodes):
-        # scipy would wrap -1 to the last row and read a mask as ids 0, 1
+        # scipy would wrap -1 to the last row, read a mask as ids 0, 1 and
+        # return a scalar id's row as a 1-row matrix
         with pytest.raises(ShapeError):
             propagate(chain, np.ones(3), PropagationConfig(), nodes=nodes)
 
