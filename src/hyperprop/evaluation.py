@@ -23,10 +23,10 @@ together as the columns of one signal matrix, with one propagation (or
 one batched Naive Bayes fit and score) and one column-wise metric pass.
 Every column gets the value it would get alone.  The known rows (the
 training folds, or the training fold) give the seed or the Naive Bayes
-labels, and only the other rows are ranked, so the last propagation
-layer runs on those rows alone (``propagate(..., nodes=)``), in either
-protocol.  A block holds as many classes as fit one
-``n_nodes x block`` float64 matrix in ``_BLOCK_BYTES``.  Units are
+labels, and only the other rows are ranked; while those are under half
+the nodes (classification), the last propagation layer or the Naive
+Bayes score runs on them alone.  A block holds as many classes as fit
+one ``n_nodes x block`` float64 matrix in ``_BLOCK_BYTES``.  Units are
 independent: the harness can run them on a thread pool, and results are
 identical for any worker count and block size.  A cell's ``micros`` is
 its equal share of its block's method time.
@@ -172,8 +172,8 @@ class MetricReport:
     skipped: tuple = field(default_factory=tuple)
 
     def __post_init__(self):
-        names = () if self.class_names is None else self.class_names
-        object.__setattr__(self, "class_names", tuple(str(n) for n in names))
+        object.__setattr__(self, "class_names",
+                           tuple(map(str, self.class_names or ())))
 
     def _class_means(self, attr: str) -> dict:
         """Mean of one cell attribute per class, in class-id order."""
@@ -235,11 +235,13 @@ def _score_block(h, y, fold_mask, task, rngs):
     from only for retrieval's pseudo-negatives."""
     known = fold_mask if task.task == "retrieval" else ~fold_mask
     ranked = np.flatnonzero(~known)
+    # a row copy of H pays off for one fold's rows, not for k - 1 folds'
+    nodes = ranked if 2 * ranked.size < h.n_nodes else None
     seed = known[:, None] & y
     if task.method == "propagation":
         x0 = seed.astype(np.float64)
         t0 = time.perf_counter()
-        scores = propagate(h, x0, task.propagation, nodes=ranked)
+        scores = propagate(h, x0, task.propagation, nodes=nodes)
         micros = (time.perf_counter() - t0) * 1e6
     else:
         if task.task == "classification":
@@ -251,8 +253,9 @@ def _score_block(h, y, fold_mask, task, rngs):
                 train[rng.choice(pool, size=ranked.size, replace=False), col] = 0
         t0 = time.perf_counter()
         model = fit_naive_bayes(h, train, task.smoothing)
-        scores = naive_bayes_log_odds(model, h, ranked)
+        scores = naive_bayes_log_odds(model, h, nodes)
         micros = (time.perf_counter() - t0) * 1e6
+    scores = scores[ranked] if nodes is None else scores
     if task.task == "classification":
         return roc_auc(scores, y[ranked]), micros
     return precision_at_k(scores, y[ranked], task.top_k), micros
@@ -272,7 +275,6 @@ def _run(h: Hypergraph, labels, task: TaskSpec, dataset_name, class_names,
         raise ShapeError(
             f"labels must have shape ({h.n_nodes},), got {labels.shape}")
     present = np.unique(labels)
-    classes = [int(c) for c in present]
     y = labels[:, None] == present  # n_nodes x classes, one-vs-rest
     assignment = assign_folds(h.n_nodes, task.n_folds, task.seed)
     width = max(1, _BLOCK_BYTES // (8 * h.n_nodes))
@@ -305,15 +307,13 @@ def _run(h: Hypergraph, labels, task: TaskSpec, dataset_name, class_names,
             outcomes[class_pos, fold] = (float(value), micros / len(block))
 
     cells, skipped = [], []
-    for class_pos, c in enumerate(classes):
+    for class_pos, c in enumerate(map(int, present)):
         for fold in range(task.n_folds):
             outcome = outcomes[class_pos, fold]
             if isinstance(outcome, str):
-                skipped.append(SkippedCell(class_id=c, fold=fold, reason=outcome))
+                skipped.append(SkippedCell(c, fold, outcome))
             else:
-                value, micros = outcome
-                cells.append(MetricCell(class_id=c, fold=fold,
-                                        value=value, micros=micros))
+                cells.append(MetricCell(c, fold, *outcome))
 
     params = {"folds": task.n_folds, "seed": task.seed}
     if task.task == "retrieval":

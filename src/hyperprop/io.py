@@ -533,7 +533,8 @@ def report_to_dict(report: MetricReport) -> dict:
         "method": report.method,
         "metric": report.metric,
         "params": dict(report.params),
-        "classes": list(report.class_names),
+        "classes": [report.class_name(c) for c in sorted(
+            {x.class_id for x in (*report.cells, *report.skipped)})],
         "cells": [
             {"class": report.class_name(c.class_id), "fold": c.fold,
              "value": c.value}

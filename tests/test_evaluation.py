@@ -77,13 +77,16 @@ class TestMetricReport:
         assert report.per_class_mean() == {0: 0.7, 1: 1.0}
         assert report.mean() == pytest.approx(0.85)
 
-    def test_classes_without_names_are_named_by_their_ids(self):
+    @pytest.mark.parametrize("offset", [0, 1])
+    def test_classes_without_names_are_named_by_their_ids(self, offset):
         h, labels = two_cliques()
-        report = run_classification(h, labels + 1,  # class ids 1 and 2
+        report = run_classification(h, labels + offset,
                                     TaskSpec(task="classification", n_folds=2))
         doc = report_to_dict(report)
-        assert {c["class"] for c in doc["cells"]} == {"1", "2"}
-        assert doc["per_class_mean"] == {"1": 1.0, "2": 1.0}
+        names = [str(offset), str(offset + 1)]
+        assert doc["classes"] == names
+        assert {c["class"] for c in doc["cells"]} == set(names)
+        assert doc["per_class_mean"] == dict.fromkeys(names, 1.0)
 
     def test_empty_report_has_no_mean(self):
         report = MetricReport(dataset="d", task="classification",
