@@ -43,7 +43,7 @@ def _add_eval_flags(parser):
                         default="propagation")
     _add_propagation_flags(parser)
     parser.add_argument("--smoothing", type=float, default=1.0,
-                        help="Naive Bayes additive smoothing")
+                        help="Naive Bayes additive smoothing, > 0")
     parser.add_argument("--folds", type=int, default=10)
     parser.add_argument("--seed", type=int, default=42)
     parser.add_argument("--jobs", type=int, default=1,

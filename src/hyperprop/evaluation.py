@@ -26,10 +26,13 @@ training folds, or the training fold) give the seed or the Naive Bayes
 labels, and only the other rows are ranked; while those are under half
 the nodes (classification), the last propagation layer or the Naive
 Bayes score runs on them alone.  A block holds as many classes as fit
-one ``n_nodes x block`` float64 matrix in ``_BLOCK_BYTES``.  Units are
-independent: the harness can run them on a thread pool, and results are
-identical for any worker count and block size.  A cell's ``micros`` is
-its equal share of its block's method time.
+one ``n_nodes x block`` float64 matrix in ``_BLOCK_BYTES``.  Its class
+indicator columns are copied row-major, so the boolean seed, which goes
+to :func:`propagate` as is, and the Naive Bayes labels are row-major too,
+and no sparse product copies its dense operand.  Units are independent:
+the harness can run them on a thread pool, and results are identical for
+any worker count and block size.  A cell's ``micros`` is its equal share
+of its block's method time.
 """
 
 from __future__ import annotations
@@ -49,10 +52,14 @@ from .propagation import PropagationConfig, propagate
 TASKS = ("classification", "retrieval")
 METHODS = ("propagation", "naive-bayes")
 
-# cap on one n_nodes x block float64 signal matrix.  Measured on a 2 MiB
-# L2 cache, 2 MiB blocks propagated slower than 1 MiB ones and raised the
-# process's peak memory; much narrower blocks lose the batching gain.
-_BLOCK_BYTES = 2**20
+# cap on one n_nodes x block float64 signal matrix.  scipy's sparse
+# products cost less per nonzero and column the wider the block: on a
+# 16k-node graph (2 vCPUs, 2 MiB L2) classification ran 0.39 s at 1 MiB
+# (8 columns), 0.31 s at 2 MiB and 0.28 s at 3 MiB (24 columns).  At 3 MiB
+# the harness allocates at most 5.2 MiB there, under the 12.7 MiB that
+# loading the graph peaks at, and the process's peak RSS held at 70 MB
+# up to 5 MiB; wider blocks save less and hold more.
+_BLOCK_BYTES = 3 * 2**20
 
 
 @dataclass(frozen=True)
@@ -126,9 +133,11 @@ class TaskSpec:
             raise InvalidConfigError("n_folds must be >= 2")
         if self.top_k < 1:
             raise InvalidConfigError("top_k must be >= 1")
-        if not np.isfinite(self.smoothing) or self.smoothing < 0:
+        # at 0 a node with one edge seen only among positives and another
+        # seen only among negatives scores inf - inf = NaN
+        if not np.isfinite(self.smoothing) or self.smoothing <= 0:
             raise InvalidConfigError(
-                f"smoothing must be finite and >= 0, got {self.smoothing}")
+                f"smoothing must be finite and > 0, got {self.smoothing}")
 
     @property
     def metric_name(self) -> str:
@@ -239,9 +248,8 @@ def _score_block(h, y, fold_mask, task, rngs):
     nodes = ranked if 2 * ranked.size < h.n_nodes else None
     seed = known[:, None] & y
     if task.method == "propagation":
-        x0 = seed.astype(np.float64)
         t0 = time.perf_counter()
-        scores = propagate(h, x0, task.propagation, nodes=nodes)
+        scores = propagate(h, seed, task.propagation, nodes=nodes)
         micros = (time.perf_counter() - t0) * 1e6
     else:
         if task.task == "classification":
@@ -294,8 +302,9 @@ def _run(h: Hypergraph, labels, task: TaskSpec, dataset_name, class_names,
     def compute(unit):
         fold, block = unit
         rngs = (_cell_rng(task.seed, class_pos, fold) for class_pos in block)
-        return _score_block(h, y[:, block], assignment.folds == fold, task,
-                            rngs)
+        # row-major, so no sparse product copies its dense operand
+        return _score_block(h, np.ascontiguousarray(y[:, block]),
+                            assignment.folds == fold, task, rngs)
 
     if n_jobs > 1:
         with ThreadPoolExecutor(max_workers=n_jobs) as pool:

@@ -110,7 +110,11 @@ def naive_bayes_log_odds(model: NaiveBayesModel, h: Hypergraph,
     log-likelihood ratio of its incident edges; an isolated node scores
     exactly the prior log-odds.  Features with zero probability under
     *both* classes (possible only with ``smoothing == 0``) contribute
-    nothing.
+    nothing.  With ``smoothing == 0`` a node can also score NaN: an edge
+    seen in training only among positives adds ``+inf``, one seen only
+    among negatives ``-inf``, and a node on both sums to ``inf - inf``.
+    :class:`~hyperprop.evaluation.TaskSpec` therefore requires
+    ``smoothing > 0``.
 
     Parameters
     ----------

@@ -29,6 +29,14 @@ residual term keeps ``(1 - 2a) * x`` there.
 Signals are plain float arrays: shape ``(n_nodes,)`` or ``(n_nodes, d)``
 on the node side, ``(n_edges,)`` or ``(n_edges, d)`` on the edge side.
 All functions are pure; inputs are never modified.
+
+:func:`propagate` holds one ``n_nodes x d`` matrix at a time besides the
+caller's input: each layer frees the previous signal before its scatter
+allocates the next, and scales its own arrays in place.  Its peak is
+that matrix plus the ``n_edges x d`` edge averages; ``alpha`` holds one
+more node matrix, the previous signal its residual blends in.  A signal
+of another dtype (a boolean seed, say) is converted once, and the copy
+counts as the first layer's matrix.
 """
 
 from __future__ import annotations
@@ -184,19 +192,32 @@ def propagate(h: Hypergraph, x, config: PropagationConfig,
     out_scale = None if out_power is None else h.inv_node_degree(out_power)
     in_scale = None if in_power is None else h.inv_node_degree(in_power)
     scatter = h.node_edge_matrix
+    # a converted copy of x (a boolean seed, say) is ours to scale in
+    # place; x itself never is
+    owned = isinstance(x, np.ndarray) and not np.may_share_memory(x2, x)
     for layer in range(config.layers):
-        r = _edge_mean(h, x2 if in_scale is None else in_scale * x2)
+        if in_scale is not None:
+            x2 = np.multiply(in_scale, x2, out=x2 if owned else None)
+        r = _edge_mean(h, x2)
         if nodes is not None and layer == config.layers - 1:
-            scatter, x2 = scatter[nodes], x2[nodes]
+            scatter = scatter[nodes]
             if out_scale is not None:
                 out_scale = out_scale[nodes]
+            if residual:
+                x2 = x2[nodes]
+        # only the alpha residual still needs the previous signal; any
+        # other variant frees it before the scatter allocates the next one
+        if not residual:
+            x2 = None
         out = scatter @ r
+        del r
         if out_scale is not None:
             out *= out_scale
         if residual:
             a = float(config.alpha)
             out *= 2.0 * a
-            out += (1.0 - 2.0 * a) * x2
-        x2 = out
+            out += np.multiply(1.0 - 2.0 * a, x2, out=x2 if owned else None)
+        x2, owned = out, True
+        del out
     return x2[:, 0] if was_1d else x2
 

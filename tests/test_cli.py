@@ -221,7 +221,10 @@ class TestArgumentErrors:
          "alpha variant requires alpha in the open interval (0, 1)"),
         (["retrieve", "--labels", "labels.csv", "--method", "naive-bayes",
           "--smoothing", "nan"],
-         "smoothing must be finite and >= 0, got nan"),
+         "smoothing must be finite and > 0, got nan"),
+        (["classify", "--labels", "labels.csv", "--method", "naive-bayes",
+          "--smoothing", "0"],
+         "smoothing must be finite and > 0, got 0.0"),
         (["classify", "--labels", "labels.csv", "--jobs", "0"],
          "n_jobs must be >= 1, got 0"),
         (["retrieve", "--labels", "labels.csv", "--jobs", "-1"],
@@ -229,7 +232,8 @@ class TestArgumentErrors:
         (["classify", "--labels", "labels.csv", "--method", "naive-bayes",
           "--layers", "0"],
          "layers must be an integer >= 1"),
-    ], ids=["layers", "alpha", "smoothing", "jobs", "negative-jobs",
+    ], ids=["layers", "alpha", "smoothing", "zero-smoothing", "jobs",
+            "negative-jobs",
             "naive-bayes-layers"])
     def test_bad_flag_fails_before_any_read(self, tmp_path, capsys, argv,
                                             message):
@@ -270,8 +274,19 @@ class TestMalformedInputExits2:
                          "--labels", str(labels), "--method", "naive-bayes",
                          "--smoothing", smoothing)
         assert result.returncode == 2
-        assert result.stderr == (f"error: smoothing must be finite and >= 0, "
+        assert result.stderr == (f"error: smoothing must be finite and > 0, "
                                  f"got {smoothing}\n")
+
+    def test_zero_smoothing(self, cliques):
+        # at 0 a node can score inf - inf = NaN, found only after all the work
+        incidence, labels = cliques
+        result = run_cli("classify", "--incidence", str(incidence),
+                         "--labels", str(labels), "--method", "naive-bayes",
+                         "--smoothing", "0")
+        assert result.returncode == 2
+        assert "Traceback" not in result.stderr
+        assert result.stderr == \
+            "error: smoothing must be finite and > 0, got 0.0\n"
 
     def test_invalid_utf8(self, tmp_path):
         incidence = tmp_path / "incidence.csv"

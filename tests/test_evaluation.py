@@ -109,6 +109,14 @@ class TestTaskSpec:
             with pytest.raises(InvalidConfigError, match="smoothing"):
                 TaskSpec(task="retrieval", smoothing=smoothing)
 
+    @pytest.mark.parametrize("method", ["naive-bayes", "propagation"])
+    def test_zero_smoothing_rejected(self, method):
+        # Naive Bayes at 0 can score a node NaN; fit_naive_bayes still
+        # accepts 0 for library use
+        with pytest.raises(InvalidConfigError,
+                           match=r"smoothing must be finite and > 0, got 0"):
+            TaskSpec(task="classification", method=method, smoothing=0.0)
+
     def test_metric_names(self):
         assert TaskSpec(task="classification").metric_name == "auc"
         assert TaskSpec(task="retrieval", top_k=7).metric_name == "p_at_7"
@@ -287,3 +295,31 @@ class TestBatchedHarness:
         for fold in range(5):
             micros = {c.micros for c in report.cells if c.fold == fold}
             assert len(micros) == 1 and micros.pop() > 0
+
+
+class TestBlockLayout:
+    @pytest.mark.parametrize("task,method", [
+        (task, method) for task in ("classification", "retrieval")
+        for method in ("propagation", "naive-bayes")])
+    def test_blocks_reach_the_method_row_major(self, monkeypatch, task,
+                                               method):
+        # a column-major block makes every sparse product copy its operand
+        h, labels = multiclass_instance()
+        monkeypatch.setattr(evaluation, "_BLOCK_BYTES", 8 * h.n_nodes * 3)
+        shapes = []
+
+        def spy(fn):
+            def wrapped(h, x, *args, **kwargs):
+                assert x.flags.c_contiguous
+                shapes.append(x.shape)
+                return fn(h, x, *args, **kwargs)
+            return wrapped
+
+        monkeypatch.setattr(evaluation, "propagate", spy(evaluation.propagate))
+        monkeypatch.setattr(evaluation, "fit_naive_bayes",
+                            spy(evaluation.fit_naive_bayes))
+        runner = run_classification if task == "classification" \
+            else run_retrieval
+        runner(h, labels, TaskSpec(task=task, method=method, n_folds=5,
+                                   top_k=12, seed=4))
+        assert any(shape[1] > 1 for shape in shapes)

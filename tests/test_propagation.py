@@ -1,3 +1,6 @@
+import tracemalloc
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -116,10 +119,15 @@ class TestLayer:
                 np.testing.assert_allclose(lhs, rhs, atol=1e-10)
 
     def test_input_not_mutated(self, chain):
-        x = np.array([1.0, 0.0, 0.0])
+        # later layers scale and blend their own arrays in place, never x
+        x = np.array([[1.0, 0.5], [0.0, 2.0], [0.0, 0.0]])
         for cfg in all_variant_configs():
-            propagate_layer(chain, x, cfg)
-        np.testing.assert_array_equal(x, [1.0, 0.0, 0.0])
+            propagate_layer(chain, x[:, 0], cfg)
+            for signal in (x, x[:, 0], x[:, 1:]):
+                for nodes in (None, [2, 0]):
+                    propagate(chain, signal, replace(cfg, layers=3),
+                              nodes=nodes)
+        np.testing.assert_array_equal(x, [[1.0, 0.5], [0.0, 2.0], [0.0, 0.0]])
 
     def test_1d_and_2d_round_trip(self, chain):
         x1 = np.array([1.0, 0.0, 0.0])
@@ -304,6 +312,31 @@ class TestNodes:
         # return a scalar id's row as a 1-row matrix
         with pytest.raises(ShapeError):
             propagate(chain, np.ones(3), PropagationConfig(), nodes=nodes)
+
+
+class TestMemory:
+    """A layer holds one node matrix: the previous layer's signal is freed
+    before the scatter allocates the next, except where the alpha residual
+    still needs it."""
+
+    @pytest.mark.parametrize("dtype", [np.float64, bool])
+    @pytest.mark.parametrize("variant,bound", [
+        ("row", 1.5), ("column", 1.5), ("symmetric", 1.5), ("alpha", 2.5)])
+    def test_peak_is_one_node_matrix(self, variant, bound, dtype):
+        h = random_hypergraph(4000, 400, 20000, seed=0)
+        d = 16
+        x = np.random.default_rng(0).random((h.n_nodes, d)) < 0.3
+        x = x.astype(dtype)
+        cfg = PropagationConfig(variant=variant, layers=3,
+                                alpha=0.3 if variant == "alpha" else None)
+        propagate(h, x, cfg)  # the degree scales are cached on the graph
+        tracemalloc.start()
+        try:
+            propagate(h, x, cfg)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < bound * h.n_nodes * d * 8
 
 
 class TestConfig:
