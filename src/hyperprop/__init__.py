@@ -17,14 +17,13 @@ from .errors import (DegenerateLabelsError, EmptyGraphError, HyperpropError,
 from .evaluation import (FoldAssignment, MetricCell, MetricReport, SkippedCell,
                          TaskSpec, assign_folds, binarize, run_classification,
                          run_retrieval)
-from .hypergraph import (Hypergraph, IdMap, IdMaps, build_hypergraph,
-                         random_hypergraph)
+from .hypergraph import Hypergraph, IdMap, IdMaps, build_hypergraph
 from .io import (DatasetBundle, dataset_stats, load_dataset, load_incidence,
                  load_labels, load_signal, write_report, write_signal)
 from .metrics import precision_at_k, roc_auc
 from .naive_bayes import NaiveBayesModel, fit_naive_bayes, naive_bayes_log_odds
 from .propagation import (VARIANTS, PropagationConfig, edge_average,
-                          node_average, propagate, propagate_layer)
+                          node_average, propagate)
 
 __version__ = "0.1.0"
 
@@ -38,7 +37,7 @@ __all__ = [
     "VARIANTS", "assign_folds", "binarize", "build_hypergraph",
     "dataset_stats", "edge_average", "fit_naive_bayes", "load_dataset",
     "load_incidence", "load_labels", "load_signal", "naive_bayes_log_odds",
-    "node_average", "precision_at_k", "propagate", "propagate_layer",
-    "random_hypergraph", "roc_auc", "run_classification", "run_retrieval",
+    "node_average", "precision_at_k", "propagate", "roc_auc",
+    "run_classification", "run_retrieval",
     "write_report", "write_signal",
 ]

@@ -10,7 +10,8 @@ its arrays: each incidence is stored once.  Its index arrays use the
 dtype scipy picks, int32 whenever the sizes fit.
 
 Instances are deeply immutable (attributes cannot be rebound and every
-array, values included, is read-only) and safe to share across threads.
+array, values included, is read-only; the degree scales are built with
+the graph) and safe to share across threads.
 
 :func:`build_hypergraph` interns in-memory pairs of hashable ids with one
 dict pass per side.  File loaders intern ids from the file bytes instead
@@ -91,8 +92,10 @@ class Hypergraph:
     (rows sorted, no duplicates) with float64 ones as values, and
     :attr:`edge_node_matrix` is ``H^T``, the CSC view of the same arrays,
     which copies nothing.  Both sum each edge's members in ascending node
-    order.  The degree arrays are computed once, at construction, and
-    each power of ``D^-1`` once, on first use (:meth:`inv_node_degree`).
+    order.  The degree arrays and the scales ``D^-1``
+    (:attr:`inv_node_degree`) and ``D^-1/2`` (:attr:`inv_sqrt_node_degree`),
+    ``(n_nodes, 1)`` columns that are 0 on isolated nodes (``1/0 := 0``),
+    are computed once, at construction.
 
     Raises
     ------
@@ -105,7 +108,8 @@ class Hypergraph:
     edge_node_matrix: sp.csc_matrix  # H.T: a view of node_edge_matrix
     node_degree: np.ndarray  # edges per node: the diagonal of D
     edge_degree: np.ndarray  # member nodes per edge: the diagonal of B
-    _inv_degree: dict  # power -> D^-power column, filled on first use
+    inv_node_degree: np.ndarray  # D^-1 as a column
+    inv_sqrt_node_degree: np.ndarray  # D^-1/2 as a column
 
     def __init__(self, nodes, edges, n_nodes: int, n_edges: int):
         h = sp.csr_matrix((np.ones(len(nodes)), (nodes, edges)),
@@ -117,11 +121,17 @@ class Hypergraph:
         edge_degree = np.bincount(h.indices, minlength=n_edges)
         if n_edges and edge_degree.min() < 1:
             raise ValueError("empty hyperedges are not allowed")
+        node_degree = np.diff(h.indptr)
         object.__setattr__(self, "node_edge_matrix", h)
         object.__setattr__(self, "edge_node_matrix", h.T)
-        object.__setattr__(self, "node_degree", _read_only(np.diff(h.indptr)))
+        object.__setattr__(self, "node_degree", _read_only(node_degree))
         object.__setattr__(self, "edge_degree", _read_only(edge_degree))
-        object.__setattr__(self, "_inv_degree", {})
+        deg = node_degree.astype(np.float64)
+        for name, power in (("inv_node_degree", 1.0),
+                            ("inv_sqrt_node_degree", 0.5)):
+            inv = np.zeros_like(deg)
+            np.divide(1.0, deg**power, out=inv, where=deg > 0)
+            object.__setattr__(self, name, _read_only(inv)[:, None])
 
     @property
     def n_nodes(self) -> int:
@@ -135,22 +145,6 @@ class Hypergraph:
     def nnz(self) -> int:
         """Number of (node, edge) incidences; equals both degree sums."""
         return self.node_edge_matrix.nnz
-
-    def inv_node_degree(self, power: float = 1.0) -> np.ndarray:
-        """``deg(u)^-power`` per node as a read-only ``(n_nodes, 1)`` column.
-
-        Isolated nodes get 0 (the pseudo-inverse convention ``1/0 := 0``),
-        so they send and receive nothing through ``D^-power``.  Computed
-        once per graph and power; threads racing on the first call compute
-        equal arrays and keep one of them.
-        """
-        scale = self._inv_degree.get(power)
-        if scale is None:
-            deg = self.node_degree.astype(np.float64)
-            inv = np.zeros_like(deg)
-            np.divide(1.0, deg**power, out=inv, where=deg > 0)
-            scale = self._inv_degree.setdefault(power, _read_only(inv[:, None]))
-        return scale
 
     def __repr__(self) -> str:
         return (f"Hypergraph(n_nodes={self.n_nodes}, n_edges={self.n_edges}, "
@@ -258,37 +252,3 @@ def build_hypergraph(
                    len(node_map), len(edge_map))
     return h, IdMaps(node_ids=node_map, edge_ids=edge_map)
 
-
-def random_hypergraph(n_nodes: int, n_edges: int, nnz: int, seed: int) -> Hypergraph:
-    """Seeded random hypergraph with exactly ``nnz`` distinct incidences.
-
-    Each hyperedge receives one guaranteed member node, then the remaining
-    ``nnz - n_edges`` incidences are sampled uniformly without replacement
-    from the rest of the (node, edge) grid.  Intended for benchmarks and
-    scaling experiments; nodes missed by sampling stay isolated.
-
-    Raises
-    ------
-    ValueError
-        If ``nnz < n_edges`` or ``nnz > n_nodes * n_edges``, or if the
-        grid has ``2**63`` cells or more: sampled cells are int64 keys.
-    """
-    if n_nodes < 1 or n_edges < 1:
-        raise ValueError("need at least one node and one edge")
-    if n_nodes * n_edges >= 2**63:
-        raise ValueError(f"n_nodes * n_edges must be below 2**63, "
-                         f"got {n_nodes * n_edges}")
-    if not n_edges <= nnz <= n_nodes * n_edges:
-        raise ValueError(f"nnz must lie in [{n_edges}, {n_nodes * n_edges}]")
-    rng = np.random.default_rng(seed)
-    base = rng.integers(0, n_nodes, size=n_edges) * n_edges + np.arange(n_edges)
-    extras = np.empty(0, dtype=np.int64)
-    need = nnz - n_edges
-    while extras.size < need:
-        draw = rng.integers(0, n_nodes, size=2 * (need - extras.size) + 16) * n_edges
-        draw += rng.integers(0, n_edges, size=draw.size)
-        extras = np.setdiff1d(np.union1d(extras, draw), base)
-    if extras.size > need:
-        extras = rng.choice(extras, size=need, replace=False)
-    keys = np.concatenate([base, extras])
-    return Hypergraph(keys // n_edges, keys % n_edges, n_nodes, n_edges)

@@ -21,10 +21,10 @@ computed as two sparse passes, never materializing the ``n x n`` kernel
     to the ``row`` variant.
 
 Degree reciprocals follow the pseudo-inverse convention ``1/0 := 0``
-(:meth:`Hypergraph.inv_node_degree`, computed once per graph), so
-isolated nodes send and receive nothing through the kernel: their rows
-stay 0 under ``row``/``column``/``symmetric``, while the ``alpha``
-residual term keeps ``(1 - 2a) * x`` there.
+(:attr:`Hypergraph.inv_node_degree` and ``inv_sqrt_node_degree``, built
+with the graph), so isolated nodes send and receive nothing through the
+kernel: their rows stay 0 under ``row``/``column``/``symmetric``, while
+the ``alpha`` residual term keeps ``(1 - 2a) * x`` there.
 
 Signals are plain float arrays: shape ``(n_nodes,)`` or ``(n_nodes, d)``
 on the node side, ``(n_edges,)`` or ``(n_edges, d)`` on the edge side.
@@ -41,7 +41,7 @@ counts as the first layer's matrix.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -98,13 +98,13 @@ def _as_signal(values, n_rows: int, side: str):
     return arr, was_1d
 
 
-# variant -> (power of D^-1 applied after the kernel, power of D^-1
-# applied before it, whether the alpha residual blend follows)
+# variant -> (the Hypergraph degree scale applied after the kernel, the
+# one applied before it, whether the alpha residual blend follows)
 _LAYER_SHAPES = {
-    "row": (1.0, None, False),
-    "column": (None, 1.0, False),
-    "symmetric": (0.5, 0.5, False),
-    "alpha": (1.0, None, True),
+    "row": ("inv_node_degree", None, False),
+    "column": (None, "inv_node_degree", False),
+    "symmetric": ("inv_sqrt_node_degree", "inv_sqrt_node_degree", False),
+    "alpha": ("inv_node_degree", None, True),
 }
 
 
@@ -112,6 +112,15 @@ def _edge_mean(h: Hypergraph, x2: np.ndarray) -> np.ndarray:
     r = h.edge_node_matrix @ x2
     r /= h.edge_degree[:, None]
     return r
+
+
+def _scatter(incidence, r: np.ndarray, scale) -> np.ndarray:
+    """The scatter ``H r`` over the given rows of ``H``, times ``scale``
+    (a node degree column, or None) in place."""
+    out = incidence @ r
+    if scale is not None:
+        out *= scale
+    return out
 
 
 def edge_average(h: Hypergraph, x) -> np.ndarray:
@@ -146,19 +155,8 @@ def node_average(h: Hypergraph, r) -> np.ndarray:
     r : array of shape (n_edges,) or (n_edges, d)
     """
     r2, was_1d = _as_signal(r, h.n_edges, "edge")
-    out = h.inv_node_degree() * (h.node_edge_matrix @ r2)
+    out = _scatter(h.node_edge_matrix, r2, h.inv_node_degree)
     return out[:, 0] if was_1d else out
-
-
-def propagate_layer(h: Hypergraph, x, config: PropagationConfig | None = None) -> np.ndarray:
-    """Apply a single propagation layer in the configured variant.
-
-    Equivalent to ``node_average(h, edge_average(h, x))`` for the ``row``
-    variant; see the module docstring for the other normalizations.
-    ``config.layers`` is ignored here -- use :func:`propagate` for
-    multi-layer runs.
-    """
-    return propagate(h, x, replace(config or PropagationConfig(), layers=1))
 
 
 def propagate(h: Hypergraph, x, config: PropagationConfig,
@@ -188,9 +186,9 @@ def propagate(h: Hypergraph, x, config: PropagationConfig,
     x2, was_1d = _as_signal(x, h.n_nodes, "node")
     if nodes is not None:
         nodes = _check_nodes(nodes, h)
-    out_power, in_power, residual = _LAYER_SHAPES[config.variant]
-    out_scale = None if out_power is None else h.inv_node_degree(out_power)
-    in_scale = None if in_power is None else h.inv_node_degree(in_power)
+    out_name, in_name, residual = _LAYER_SHAPES[config.variant]
+    out_scale = None if out_name is None else getattr(h, out_name)
+    in_scale = None if in_name is None else getattr(h, in_name)
     scatter = h.node_edge_matrix
     # a converted copy of x (a boolean seed, say) is ours to scale in
     # place; x itself never is
@@ -209,10 +207,8 @@ def propagate(h: Hypergraph, x, config: PropagationConfig,
         # other variant frees it before the scatter allocates the next one
         if not residual:
             x2 = None
-        out = scatter @ r
+        out = _scatter(scatter, r, out_scale)
         del r
-        if out_scale is not None:
-            out *= out_scale
         if residual:
             a = float(config.alpha)
             out *= 2.0 * a

@@ -18,12 +18,12 @@ import numpy as np
 import pytest
 
 from hyperprop import (PropagationConfig, TaskSpec, load_dataset,
-                       precision_at_k, propagate, propagate_layer,
-                       random_hypergraph, roc_auc, run_classification,
+                       precision_at_k, propagate, roc_auc, run_classification,
                        run_retrieval, dataset_stats)
 
 import oracles
-from util import bernoulli_hypergraph, ordinary_graph, random_signal
+from util import (bernoulli_hypergraph, ordinary_graph, random_hypergraph,
+                  random_signal)
 
 DATA_DIR = Path(__file__).resolve().parent.parent / "data"
 
@@ -47,7 +47,7 @@ def test_criterion_1_sparse_matches_dense_oracle():
         h = bernoulli_hypergraph(rng, max_nodes=50, max_edges=30, p=0.2)
         x = random_signal(rng, h.n_nodes, max_cols=4)
         for cfg in all_variant_configs():
-            diff = np.abs(propagate_layer(h, x, cfg)
+            diff = np.abs(propagate(h, x, cfg)
                           - oracles.dense_propagate_layer(h, x, cfg)).max()
             worst = max(worst, float(diff))
     elapsed = time.perf_counter() - t0
@@ -67,7 +67,7 @@ def test_criterion_2_ordinary_graph_label_propagation_reduction():
         inv_deg = 1.0 / adjacency.sum(axis=1)
         lazy_walk = 0.5 * (inv_deg[:, None] * (adjacency @ x)) + 0.5 * x
         worst_prop = max(worst_prop, float(
-            np.abs(propagate_layer(h, x) - lazy_walk).max()))
+            np.abs(propagate(h, x, PropagationConfig()) - lazy_walk).max()))
         degree = np.diag(adjacency.sum(axis=1))
         worst_kernel = max(worst_kernel, float(
             np.abs(oracles.dense_kernel(h) - 0.5 * (adjacency + degree)).max()))
@@ -87,7 +87,8 @@ def test_criterion_3_alpha_half_reduces_to_row_variant():
     for _ in range(50):
         h = bernoulli_hypergraph(rng)
         x = random_signal(rng, h.n_nodes)
-        diff = np.abs(propagate_layer(h, x, half) - propagate_layer(h, x)).max()
+        diff = np.abs(propagate(h, x, half)
+                      - propagate(h, x, PropagationConfig())).max()
         worst = max(worst, float(diff))
     assert worst <= 1e-12
     _passed(3, f"50 instances, max |alpha(0.5) - row| = {worst:.2e}")

@@ -1,11 +1,12 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from hyperprop import (InvalidConfigError, InvalidFoldsError, MetricCell,
-                       MetricReport, PropagationConfig, ShapeError, TaskSpec,
-                       UnknownClassError, assign_folds, binarize,
-                       build_hypergraph, evaluation, run_classification,
-                       run_retrieval)
+from hyperprop import (VARIANTS, InvalidConfigError, InvalidFoldsError,
+                       MetricCell, MetricReport, PropagationConfig,
+                       ShapeError, TaskSpec, UnknownClassError, assign_folds,
+                       binarize, build_hypergraph, evaluation,
+                       run_classification, run_retrieval)
 from hyperprop.io import canonical_json_bytes, report_to_dict
 
 import oracles
@@ -323,3 +324,54 @@ class TestBlockLayout:
         runner(h, labels, TaskSpec(task=task, method=method, n_folds=5,
                                    top_k=12, seed=4))
         assert any(shape[1] > 1 for shape in shapes)
+
+
+@st.composite
+def harness_cases(draw):
+    """A small graph with isolated nodes, its labels and a harness setup.
+
+    The labels hold a one-node class and a two-node class, so some folds
+    hold none of a class.
+    """
+    n = draw(st.integers(6, 30))
+    m = draw(st.integers(1, 10))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    member = rng.random((n, m)) < draw(st.sampled_from([0.1, 0.3]))
+    member[n - draw(st.integers(0, 3)):] = False  # isolated nodes
+    rows, cols = member.nonzero()
+    pairs = list(zip(rows.tolist(), cols.tolist())) or [(0, 0)]
+    h, _ = build_hypergraph(pairs, node_universe=range(n))
+    classes = draw(st.integers(1, 3))
+    labels = rng.choice([0, 3, 4][:classes], size=n)
+    labels[rng.choice(n, size=3, replace=False)] = [7, 8, 8]
+    task = draw(st.sampled_from(["classification", "retrieval"]))
+    method = draw(st.sampled_from(["propagation", "naive-bayes"]))
+    variant = draw(st.sampled_from(VARIANTS))
+    alpha = draw(st.floats(0.05, 0.95)) if variant == "alpha" else None
+    spec = TaskSpec(
+        task=task, method=method, n_folds=draw(st.integers(2, min(n, 6))),
+        top_k=draw(st.integers(1, n)), seed=draw(st.integers(0, 99)),
+        smoothing=draw(st.sampled_from([0.5, 1.0])),
+        propagation=PropagationConfig(variant=variant,
+                                      layers=draw(st.integers(1, 3)),
+                                      alpha=alpha))
+    width = draw(st.integers(1, classes + 2))  # block columns
+    return h, labels, spec, width, draw(st.sampled_from([1, 2]))
+
+
+class TestDifferentialHarness:
+    """The batched harness against the one-cell-at-a-time reference, on
+    generated graphs, labels, protocols and block widths."""
+
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    @given(case=harness_cases())
+    def test_report_bytes_equal_per_cell_reference(self, case):
+        h, labels, spec, width, n_jobs = case
+        runner = run_classification if spec.task == "classification" \
+            else run_retrieval
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(evaluation, "_BLOCK_BYTES", 8 * h.n_nodes * width)
+            got = runner(h, labels, spec, n_jobs=n_jobs)
+        want = oracles.per_cell_report(h, labels, spec, n_jobs=n_jobs)
+        assert canonical_json_bytes(report_to_dict(got)) == \
+            canonical_json_bytes(report_to_dict(want))

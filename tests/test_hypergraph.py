@@ -1,10 +1,15 @@
+import sys
+from concurrent.futures import ThreadPoolExecutor
+
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
-from hyperprop import (EmptyGraphError, Hypergraph, IdMap, build_hypergraph,
-                       random_hypergraph)
+from hyperprop import (EmptyGraphError, Hypergraph, IdMap, PropagationConfig,
+                       build_hypergraph, fit_naive_bayes,
+                       naive_bayes_log_odds, node_average, propagate)
 
-from util import bernoulli_hypergraph, incidence_arrays
+from util import bernoulli_hypergraph, incidence_arrays, random_hypergraph
 
 PAIRS = [("a", "e1"), ("b", "e1"), ("b", "e2"), ("c", "e2")]
 
@@ -164,6 +169,71 @@ class TestStructureInvariants:
         h1, _ = build_hypergraph(pairs)
         h2, _ = build_hypergraph(pairs + tail)  # same first appearances
         assert incidence_arrays(h1) == incidence_arrays(h2)
+
+
+class TestImmutable:
+    """A graph is built whole: using it, from any number of threads,
+    changes nothing it holds."""
+
+    @staticmethod
+    def graph():
+        # nodes 300-319 are isolated
+        coo = random_hypergraph(300, 60, 1500, seed=2).node_edge_matrix.tocoo()
+        return Hypergraph(coo.row, coo.col, 320, 60)
+
+    def test_threads_change_nothing(self):
+        h = self.graph()
+        before = dict(vars(h))
+        rng = np.random.default_rng(0)
+        x = rng.random((h.n_nodes, 3))
+        r = rng.random((h.n_edges, 3))
+        labels = rng.integers(-1, 2, size=(h.n_nodes, 3))
+        ranked = rng.permutation(h.n_nodes)[:40]
+        configs = [PropagationConfig(variant=v, layers=2,
+                                     alpha=0.3 if v == "alpha" else None)
+                   for v in ("row", "column", "symmetric", "alpha")]
+
+        def use(_):
+            for cfg in configs:
+                propagate(h, x, cfg)
+                propagate(h, x, cfg, nodes=ranked)
+            node_average(h, r)
+            model = fit_naive_bayes(h, labels)
+            naive_bayes_log_odds(model, h)
+            naive_bayes_log_odds(model, h, ranked)
+
+        # more threads than cores, switching often
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with ThreadPoolExecutor(max_workers=4) as pool:
+                list(pool.map(use, range(8), timeout=60))
+        finally:
+            sys.setswitchinterval(interval)
+        after = vars(h)
+        assert after.keys() == before.keys()
+        for name, value in after.items():
+            assert value is before[name], name
+            # a graph holds arrays only, so nothing it holds can grow
+            if sp.issparse(value):
+                arrays = [value.data, value.indices, value.indptr]
+            else:
+                assert isinstance(value, np.ndarray), name
+                arrays = [value]
+            for arr in arrays:
+                assert not arr.flags.writeable, name
+
+    @pytest.mark.parametrize("name,power", [("inv_node_degree", 1.0),
+                                            ("inv_sqrt_node_degree", 0.5)])
+    def test_degree_scales(self, name, power):
+        h = self.graph()
+        scale = getattr(h, name)
+        assert scale.shape == (h.n_nodes, 1) and scale.dtype == np.float64
+        deg = h.node_degree.astype(np.float64)
+        want = np.zeros(h.n_nodes)
+        want[deg > 0] = 1.0 / deg[deg > 0] ** power
+        assert np.array_equal(scale[:, 0], want)
+        assert (h.node_degree[300:] == 0).all() and (scale[300:] == 0).all()
 
 
 class TestRandomHypergraph:

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from hyperprop import (MissingClassError, ShapeError, build_hypergraph,
-                       fit_naive_bayes, naive_bayes_log_odds)
+                       edge_average, fit_naive_bayes, naive_bayes_log_odds)
 
 import oracles
 from util import bernoulli_hypergraph
@@ -208,3 +208,29 @@ class TestBatch:
     def test_missing_class_in_any_column(self, chain):
         with pytest.raises(MissingClassError):
             fit_naive_bayes(chain, [[1, 1], [0, -1], [0, -1]])
+
+
+class TestPropagationRelation:
+    """The paper's link between CSP and Naive Bayes: on a class indicator,
+    the first half-layer of CSP is the per-edge class frequency, and
+    Naive Bayes smooths the same per-edge class counts."""
+
+    @pytest.mark.parametrize("smoothing", [0.5, 1.0])
+    def test_edge_average_gives_the_smoothed_counts(self, smoothing):
+        rng = np.random.default_rng(41)
+        for _ in range(40):
+            h = bernoulli_hypergraph(rng)
+            labels = rng.integers(-1, 2, size=h.n_nodes)
+            labels[:2] = [0, 1]
+            model = fit_naive_bayes(h, labels, smoothing)
+            incidence = oracles._dense_incidence(h)
+            for c in (0, 1):
+                freq = edge_average(h, labels == c) * h.edge_degree
+                counts = np.rint(freq)
+                np.testing.assert_allclose(freq, counts, rtol=0, atol=1e-9)
+                assert np.array_equal(counts,
+                                      incidence[labels == c].sum(axis=0))
+                want = (np.log(counts + smoothing)
+                        - np.log(counts.sum() + smoothing * h.n_edges))
+                np.testing.assert_allclose(model.feature_log_likelihood[c],
+                                           want, rtol=0, atol=1e-12)

@@ -2,7 +2,7 @@
 
 import numpy as np
 
-from hyperprop import build_hypergraph
+from hyperprop import Hypergraph, build_hypergraph
 
 
 def bernoulli_hypergraph(rng, max_nodes=50, max_edges=30, p=0.2):
@@ -62,3 +62,38 @@ def ordinary_graph(rng, max_nodes=30, extra_edges=20):
     for i, j in edges:
         adjacency[i, j] = adjacency[j, i] = 1.0
     return h, adjacency
+
+
+def random_hypergraph(n_nodes: int, n_edges: int, nnz: int, seed: int) -> Hypergraph:
+    """Seeded random hypergraph with exactly ``nnz`` distinct incidences.
+
+    Each hyperedge receives one guaranteed member node, then the remaining
+    ``nnz - n_edges`` incidences are sampled uniformly without replacement
+    from the rest of the (node, edge) grid.  Nodes missed by sampling stay
+    isolated.
+
+    Raises
+    ------
+    ValueError
+        If ``nnz < n_edges`` or ``nnz > n_nodes * n_edges``, or if the
+        grid has ``2**63`` cells or more: sampled cells are int64 keys.
+    """
+    if n_nodes < 1 or n_edges < 1:
+        raise ValueError("need at least one node and one edge")
+    if n_nodes * n_edges >= 2**63:
+        raise ValueError(f"n_nodes * n_edges must be below 2**63, "
+                         f"got {n_nodes * n_edges}")
+    if not n_edges <= nnz <= n_nodes * n_edges:
+        raise ValueError(f"nnz must lie in [{n_edges}, {n_nodes * n_edges}]")
+    rng = np.random.default_rng(seed)
+    base = rng.integers(0, n_nodes, size=n_edges) * n_edges + np.arange(n_edges)
+    extras = np.empty(0, dtype=np.int64)
+    need = nnz - n_edges
+    while extras.size < need:
+        draw = rng.integers(0, n_nodes, size=2 * (need - extras.size) + 16) * n_edges
+        draw += rng.integers(0, n_edges, size=draw.size)
+        extras = np.setdiff1d(np.union1d(extras, draw), base)
+    if extras.size > need:
+        extras = rng.choice(extras, size=need, replace=False)
+    keys = np.concatenate([base, extras])
+    return Hypergraph(keys // n_edges, keys % n_edges, n_nodes, n_edges)
