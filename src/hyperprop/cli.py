@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import argparse
 import sys
-from pathlib import Path
 
 import numpy as np
 
@@ -113,8 +112,7 @@ def _run_eval(args, task_name: str) -> int:
         seed=args.seed,
     )
     check_n_jobs(args.jobs)
-    bundle = load_dataset(args.incidence, args.labels,
-                          name=Path(args.incidence).stem)
+    bundle = load_dataset(args.incidence, args.labels)
     runner = run_classification if task_name == "classification" else run_retrieval
     report = runner(bundle.hypergraph, bundle.labels, spec,
                     dataset_name=bundle.name, class_names=bundle.class_names,

@@ -10,8 +10,9 @@ its arrays: each incidence is stored once.  Its index arrays use the
 dtype scipy picks, int32 whenever the sizes fit.
 
 Instances are deeply immutable (attributes cannot be rebound and every
-array, values included, is read-only; the degree scales are built with
-the graph) and safe to share across threads.
+array, values included, is read-only with no writable array beneath it;
+the degree scales are built with the graph) and safe to share across
+threads.
 
 :func:`build_hypergraph` interns in-memory pairs of hashable ids with one
 dict pass per side.  File loaders intern ids from the file bytes instead
@@ -115,7 +116,11 @@ class Hypergraph:
         h = sp.csr_matrix((np.ones(len(nodes)), (nodes, edges)),
                           shape=(n_nodes, n_edges))
         h.sum_duplicates()
-        h.data[:] = 1.0
+        # arrays of exactly nnz entries that own their memory: scipy's are
+        # views over writable arrays, longer if pairs were summed
+        h.data = np.ones(h.nnz)
+        if h.indices.base is not None:
+            h.indices = h.indices.copy()
         for arr in (h.data, h.indices, h.indptr):
             arr.setflags(write=False)
         edge_degree = np.bincount(h.indices, minlength=n_edges)

@@ -4,12 +4,13 @@ Incidence files are delimiter-separated text (comma or tab, auto-detected
 from the header) with required columns ``nodeId`` and ``edgeId`` in any
 order; label files use ``nodeId`` and ``label``.  Every input file is read
 in one pass into the byte range of each field (see :class:`_Table`) and
-checked column-wise, failing at the line of its first bad row.  An id
-column whose ids are all under 8 bytes and unpadded never becomes one
-Python object per row: :func:`_intern_fields` groups equal ids by sorting
-one exact 64-bit key per field, then decodes each distinct id once.  Any
-other id column is decoded, stripped by ``str.strip`` and grouped by a
-dict.  Memory grows with the bytes read.
+checked column-wise, failing at the line of its first bad row.  Each id
+column is interned by :func:`_intern_column`, which decides once: a column
+whose ids are all under 8 bytes and unpadded never becomes one Python
+object per row, as equal ids are grouped by sorting one exact 64-bit key
+per field and each distinct id is decoded once; any other id column is
+decoded, stripped by ``str.strip`` and grouped by a dict.  Memory grows
+with the bytes read.
 Metric reports serialize to a canonical JSON document (stable key order,
 lossless floats) or to CSV with the fixed column order
 ``class,fold,metric,value,micros``.
@@ -77,9 +78,10 @@ class _Table:
 
     The table holds the ``rows`` data rows before the first bad one, and
     ``lines[i]`` is the line number of row ``i``.  A check that finds a bad
-    row calls :meth:`reject`, which cuts the rows there, and :meth:`done`
-    raises the pending error: a file fails at its first bad row, with that
-    row's message, as a row-by-row reader would.
+    row calls :meth:`reject`, which keeps the earliest one, and :meth:`done`
+    raises its error: a file fails at its first bad row, as a row-by-row
+    reader would, whatever order the checks run in.  Of two checks that
+    fail the same row, the first to run wins.
     """
 
     def __init__(self, path):
@@ -127,42 +129,35 @@ class _Table:
                 f"{self.path}: header must name columns {names}, "
                 f"got {self.header}") from exc
 
+    def _fields(self, i):
+        """The byte ranges of column ``i``, one per row."""
+        cut = slice(i, self.rows * len(self.header), len(self.header))
+        return self._starts[cut], self._ends[cut]
+
     def column(self, i):
         """The raw fields of column ``i``, one str per row."""
-        k = len(self.header)
-        cut = slice(i, self.rows * k, k)
-        return _decode(self._raw, self._buf, self._starts[cut],
-                       self._ends[cut])
+        return _decode(self._raw, self._buf, *self._fields(i))
 
-    def ids(self, columns):
-        """Each column's identifiers, whitespace-stripped and interned.
+    def ids(self, i):
+        """Column ``i``'s identifiers, whitespace-stripped and interned.
 
-        Returns one ``(ids, index)`` pair per column index: the distinct
-        ids in first-appearance order, and each row's index into them.
-        Stops at the first row with an empty identifier.
+        Returns the distinct ids in first-appearance order and each row's
+        index into them, and rejects the first row with an empty id.
         """
-        k = len(self.header)
-        cols = [_strip(self._raw, self._buf, self._starts[i:self.rows * k:k],
-                       self._ends[i:self.rows * k:k]) for i in columns]
-        empty = min((row for _, row in cols), default=self.rows)
-        if empty < self.rows:
-            self.reject(empty, "empty identifier")
-        interned = []
-        for fields, _ in cols:
-            if isinstance(fields, list):  # stripped by str.strip
-                interned.append(_intern(fields[:self.rows]))
-            else:
-                starts, ends = fields
-                interned.append(_intern_fields(self._raw, self._buf,
-                                               starts[:self.rows],
-                                               ends[:self.rows]))
-        return interned
+        ids, index, empty = _intern_column(self._raw, self._buf,
+                                           *self._fields(i))
+        self.reject(empty, "empty identifier")
+        return ids, index
 
     def reject(self, row, message):
-        """Drop data row ``row`` and every row after it, failing at ``row``."""
-        self.rows = row
-        self.error = ParseError(
-            f"{self.path}: line {self.lines[row]}: {message}")
+        """Fail at data row ``row`` unless an earlier row already fails.
+
+        The rows from ``row`` on are dropped, so later checks skip them.
+        """
+        if row < self.rows:
+            self.rows = row
+            self.error = ParseError(
+                f"{self.path}: line {self.lines[row]}: {message}")
 
     def done(self):
         """Raise the error of the first bad row, if any."""
@@ -186,25 +181,23 @@ def _check_utf8(path, raw):
 def _split_tokens(data, delim):
     """Tokenize quote-free data lines at delimiter and line-end bytes.
 
-    Returns the buffer tokenized (``data`` itself), each token's byte range
-    (blank lines yield none), the tokens per line, which lines are blank,
-    the number of lines read and the error that stopped the read.  Line
-    ends are ``\\r\\n``, ``\\r`` and ``\\n``, as for :mod:`csv`; in UTF-8
-    they and the delimiter are single bytes that no other character
-    contains.
+    Line ends are ``\\r\\n``, ``\\r`` and ``\\n``, as for :mod:`csv`; each is
+    first rewritten as one ``\\n``, which keeps every line number.  In UTF-8
+    the delimiter and ``\\n`` are single bytes that no other character
+    contains.  Returns the buffer tokenized (``data`` so rewritten), each
+    token's byte range (blank lines yield none), the tokens per line, which
+    lines are blank, the number of lines read and the error that stopped
+    the read.
     """
+    if b"\r" in data:
+        data = data.replace(b"\r\n", b"\n").replace(b"\r", b"\n")
     raw = np.frombuffer(data, dtype=np.uint8)
     sep = raw == ord(delim)
     sep |= raw == ord("\n")
-    cr = np.flatnonzero(raw == ord("\r"))
-    sep[cr] = True
-    crlf = cr[raw[np.minimum(cr + 1, raw.size - 1)] == ord("\n")]
-    sep[crlf + 1] = False  # the "\n" of a "\r\n" ends no token
     ends = np.append(np.flatnonzero(sep), raw.size)
     del sep
     line_end = np.append(raw[ends[:-1]] != ord(delim), True)
     starts = np.insert(ends[:-1] + 1, 0, 0)
-    starts[np.searchsorted(ends, crlf) + 1] += 1
     del raw
     last = np.flatnonzero(line_end)  # each line's last token
     counts = np.diff(last, prepend=-1)
@@ -244,33 +237,24 @@ def _csv_tokens(data, delim):
             len(rows), error)
 
 
-def _strip(raw, buf, starts, ends):
-    """The fields ``raw[starts[i]:ends[i]]`` as ``str.strip`` leaves them.
+def _intern_column(raw, buf, starts, ends):
+    """The fields ``raw[starts[i]:ends[i]]``, stripped and interned.
 
-    Returns the fields and the row of the first empty one (the row count if
-    none is).  While no field starts or ends with a byte of a possible
-    whitespace character, the fields stay byte ranges, ``(starts, ends)``;
-    otherwise they are decoded and stripped by ``str.strip``, a list of str.
-    """
-    full = starts < ends
-    if (full & (_MAYBE_SPACE[buf[starts]] | _MAYBE_SPACE[buf[ends - 1]])
-            ).any():
-        texts = [text.strip() for text in _decode(raw, buf, starts, ends)]
-        return texts, texts.index("") if "" in texts else len(texts)
-    return (starts, ends), full.size if full.all() else int(np.argmin(full))
-
-
-def _intern_fields(raw, buf, starts, ends):
-    """Group equal fields of ``raw``: ``(distinct ids, each field's index)``.
-
-    Ids are numbered by first appearance.  Fields under 8 bytes are grouped
-    by sorting one exact 64-bit key each, their bytes and length, and each
-    distinct id is decoded once; a column holding a longer field is decoded
-    whole and grouped by a dict.
+    Returns the distinct ids in first-appearance order, each field's index
+    into them and the row of the first empty id (the row count if none is).
+    While every field is under 8 bytes and none starts or ends with a byte
+    of a possible whitespace character, equal fields are grouped by sorting
+    one exact 64-bit key each, their bytes and length, and each distinct id
+    is decoded once; any other column is decoded, stripped and grouped by a
+    dict.
     """
     lens = ends - starts
-    if lens.max(initial=0) >= 8:
-        return _intern(_decode(raw, buf, starts, ends))
+    full = lens > 0
+    if lens.max(initial=0) >= 8 or (
+            full & (_MAYBE_SPACE[buf[starts]] | _MAYBE_SPACE[buf[ends - 1]])
+            ).any():
+        texts = [text.strip() for text in _decode(raw, buf, starts, ends)]
+        return *_intern(texts), texts.index("") if "" in texts else len(texts)
     words = np.ndarray((buf.size - _PAD + 1,), dtype="<u8", buffer=buf,
                        strides=(1,))  # the 8 bytes from each position on
     key = words[starts]
@@ -290,7 +274,8 @@ def _intern_fields(raw, buf, starts, ends):
     rank = np.empty(order.size, dtype=np.intp)
     rank[order] = np.arange(order.size)
     first = first[order]
-    return _decode(raw, buf, starts[first], ends[first]), rank[group]
+    return (_decode(raw, buf, starts[first], ends[first]), rank[group],
+            full.size if full.all() else int(np.argmin(full)))
 
 
 def _decode(raw, buf, starts, ends):
@@ -306,28 +291,25 @@ def _decode(raw, buf, starts, ends):
     del slots
     texts = []
     for s, e in zip(np.split(starts, cuts), np.split(ends, cuts)):
-        texts += _decode_joined(raw, buf, s, e)
+        lens = e - s
+        if not lens.size:
+            continue
+        slots = np.cumsum(lens + 1)  # where each field's "\n" goes, plus 1
+        joined = buf[np.arange(slots[-1])
+                     - np.repeat(slots - lens - 1 - s, lens + 1)]
+        joined[slots - 1] = 0
+        if (joined == ord("\n")).any():
+            texts += [raw[a:b].decode("utf-8")
+                      for a, b in zip(s.tolist(), e.tolist())]
+        else:
+            joined[slots - 1] = ord("\n")
+            texts += joined[:-1].tobytes().decode("utf-8").split("\n")
     return texts
-
-
-def _decode_joined(raw, buf, starts, ends):
-    lens = ends - starts
-    if not lens.size:
-        return []
-    slots = np.cumsum(lens + 1)  # where each field's "\n" goes, plus 1
-    joined = buf[np.arange(slots[-1]) - np.repeat(slots - lens - 1 - starts,
-                                                  lens + 1)]
-    joined[slots - 1] = 0
-    if (joined == ord("\n")).any():
-        return [raw[s:e].decode("utf-8")
-                for s, e in zip(starts.tolist(), ends.tolist())]
-    joined[slots - 1] = ord("\n")
-    return joined[:-1].tobytes().decode("utf-8").split("\n")
 
 
 def _read_ids(path, columns):
     table = _Table(path)
-    ids = table.ids(table.indexes(columns))
+    ids = [table.ids(i) for i in table.indexes(columns)]
     table.done()
     return ids
 
@@ -432,12 +414,11 @@ def load_signal(path):
     value_cols = [i for i in range(len(table.header)) if i != node_col]
     if not value_cols:
         raise MissingColumnError(f"{path}: no signal columns besides nodeId")
-    ((ids, index),) = table.ids([node_col])
+    ids, index = table.ids(node_col)
     repeats = np.flatnonzero(index != np.arange(index.size))
     if repeats.size:
         row = int(repeats[0])  # every row before it holds a new id
         table.reject(row, f"duplicate node {ids[index[row]]!r}")
-        ids = ids[:row]
     columns = [table.column(i) for i in value_cols]
     try:
         values = np.array([list(map(float, col)) for col in columns])

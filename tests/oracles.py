@@ -9,10 +9,11 @@ The exception is :func:`per_cell_report`, the reference for the batched
 evaluation harness: it scores one (class, fold) cell at a time through
 the public single-column functions.
 
-:func:`row_load_incidence` and :func:`row_read_labels` are the reference
-for ingestion: the row-by-row ``csv.reader`` loop the columnar reader
-replaced, with one dict lookup per pair and the structure built from
-Python sets into plain CSR lists, without the engine's ``Hypergraph``.
+:func:`row_load_incidence`, :func:`row_read_labels` and
+:func:`row_load_signal` are the reference for ingestion: the row-by-row
+``csv.reader`` loop the columnar reader replaced, with one dict lookup per
+pair and the structure built from Python sets into plain CSR lists,
+without the engine's ``Hypergraph``.
 """
 
 import csv
@@ -362,6 +363,42 @@ def row_read_labels(path):
         names.sort(key=int)
     return (list(seen), [names.index(v) for v in seen.values()],
             tuple(names))
+
+
+def row_load_signal(path):
+    """``(node ids, values)`` as ``load_signal`` defines them.
+
+    Each row is checked in turn for its field count, an empty id, a node
+    seen before and, column by column, a value ``float`` rejects.
+    """
+    rows = _open_rows(path)
+    _, header = next(rows)
+    if "nodeId" not in header:
+        raise MissingColumnError(f"{path}: header must name columns "
+                                 f"{('nodeId',)}, got {header}")
+    node_col = header.index("nodeId")
+    if len(header) == 1:
+        raise MissingColumnError(f"{path}: no signal columns besides nodeId")
+    ids, values = [], []
+    for lineno, row in rows:
+        if len(row) != len(header):
+            raise ParseError(
+                f"{path}: line {lineno}: expected {len(header)} fields, "
+                f"got {len(row)}")
+        node = row.pop(node_col).strip()
+        if not node:
+            raise ParseError(f"{path}: line {lineno}: empty identifier")
+        if node in ids:
+            raise ParseError(f"{path}: line {lineno}: duplicate node {node!r}")
+        try:
+            values.append([float(text) for text in row])
+        except ValueError:
+            raise ParseError(
+                f"{path}: line {lineno}: non-numeric signal value") from None
+        ids.append(node)
+    if not ids:
+        raise ParseError(f"{path}: no signal rows")
+    return ids, values
 
 
 def _is_int(text):

@@ -223,6 +223,23 @@ class TestImmutable:
             for arr in arrays:
                 assert not arr.flags.writeable, name
 
+    def test_arrays_own_their_memory(self):
+        # summing the duplicate pairs leaves scipy's arrays as views over
+        # longer, writable ones
+        coo = random_hypergraph(300, 60, 1500, seed=2).node_edge_matrix.tocoo()
+        h = Hypergraph(np.r_[coo.row, coo.row[:500]],
+                       np.r_[coo.col, coo.col[:500]], 320, 60)
+        assert h.nnz == coo.nnz
+        for name, value in vars(h).items():
+            arrays = ([value.data, value.indices, value.indptr]
+                      if sp.issparse(value) else [value])
+            for arr in arrays:
+                base = arr.base
+                while base is not None:  # nothing writes through a base
+                    assert not base.flags.writeable, name
+                    assert base.size == arr.size, name
+                    base = base.base
+
     @pytest.mark.parametrize("name,power", [("inv_node_degree", 1.0),
                                             ("inv_sqrt_node_degree", 0.5)])
     def test_degree_scales(self, name, power):

@@ -1,6 +1,6 @@
 """Property-based ingestion suite: the columnar reader against the row loop.
 
-Every generated incidence or label file either loads to the same
+Every generated incidence, label or signal file either loads to the same
 structure, identifier order and labels as the row-by-row oracle in
 ``oracles.py``, or fails with the same error type and message (which
 carries the line number).  Files mix duplicates, label-only nodes,
@@ -19,11 +19,11 @@ import tempfile
 from pathlib import Path
 
 import numpy as np
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
-from hyperprop import HyperpropError, load_incidence
+from hyperprop import HyperpropError, load_incidence, load_signal
 from hyperprop.io import read_labels
-from oracles import row_load_incidence, row_read_labels
+from oracles import row_load_incidence, row_load_signal, row_read_labels
 from util import incidence_arrays
 
 SPACE = ["\x0b", "\x85", "\u2028", " ", "\t", "\r", "\n"]
@@ -43,6 +43,11 @@ IDS = st.builds(
     st.text(st.sampled_from(SPACE), max_size=2))
 BLANK_IDS = st.text(st.sampled_from(SPACE), max_size=2)
 LABELS = st.sampled_from(["0", "1", "10", " 2", "02", "x", "b,c"])
+# signal values, some padded with whitespace float accepts
+NUMBERS = st.one_of(
+    st.floats().map(repr), st.integers().map(str),
+    st.sampled_from(["-0", " 2e3 ", "1_0", "1e400", "-inf", "\u20281\x85"]))
+VALUES = st.one_of(NUMBERS, st.sampled_from(["x", "1,5", "0x1", "1 2", '"3"']))
 LINE_ENDS = st.sampled_from(["\n", "\r\n", "\r"])
 
 
@@ -53,8 +58,10 @@ def _render(field, delim, quote):
 
 
 @st.composite
-def delimited_files(draw, columns):
+def delimited_files(draw, columns, extra=IDS):
     """Bytes of a delimited file; ``columns`` maps each name to its values.
+
+    Half the files hold one more column, ``weight``, of ``extra`` values.
 
     Half the files hold bad rows: short, long, or with an empty (or
     all-whitespace) identifier.  Half are quote-free: there the delimiter,
@@ -66,7 +73,7 @@ def delimited_files(draw, columns):
     swap = str.maketrans({delim: "a", '"': "b", "\r": "\x85", "\n": "\u2028"})
     columns = dict(columns)
     if draw(st.booleans()):
-        columns["weight"] = IDS
+        columns["weight"] = extra
     header = draw(st.permutations(list(columns)))
     quote_header = not plain and draw(st.booleans())
     lines = [delim.join(_render(c, delim, quote_header) for c in header)]
@@ -148,3 +155,31 @@ def test_columnar_reader_matches_row_oracle(incidence, labels, limit):
     assert maps.node_ids.ids == node_ids
     assert maps.edge_ids.ids == edge_ids
     assert incidence_arrays(h) == arrays
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(signal=st.one_of(*(delimited_files({"nodeId": IDS, "value": values},
+                                          values)
+                          for values in (NUMBERS, VALUES))),
+       limit=st.sampled_from([None, None, None, 7]))
+# rows that break two rules at once, which random files seldom hold
+@example(signal=b"nodeId,value\na,1\na,x\n", limit=None)
+@example(signal=b"nodeId,value\na,1\n ,x\n", limit=None)
+@example(signal=b"nodeId,value\na,1\na,123456789\n", limit=7)
+def test_signal_loader_matches_row_oracle(signal, limit):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp, "signal.csv")
+        path.write_bytes(signal)
+        with field_limit(limit):
+            got = outcome(load_signal, path)
+            want = outcome(row_load_signal, path)
+
+    assert got[0] == want[0]
+    if got[0] != "ok":
+        assert got[1] == want[1]
+        return
+    (ids, values), (want_ids, want_values) = got[1], want[1]
+    assert ids == want_ids
+    want_values = np.array(want_values, dtype=np.float64)
+    assert values.shape == want_values.shape
+    assert values.tobytes() == want_values.tobytes()  # nan and -0.0 too

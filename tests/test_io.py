@@ -7,6 +7,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+import hyperprop.io
 from hyperprop import (MetricCell, MetricReport, MissingColumnError,
                        MissingLabelError, ParseError, UnknownNodeError,
                        dataset_stats, load_dataset, load_incidence,
@@ -224,6 +225,53 @@ class TestColumnarReader:
         assert maps.node_ids.ids == node_ids
         assert maps.edge_ids.ids == edge_ids
         assert incidence_arrays(h) == want
+
+    @pytest.fixture
+    def dict_calls(self, monkeypatch):
+        """The sizes of the columns the dict interner is given."""
+        calls = []
+
+        def counted(keys):
+            calls.append(len(keys))
+            return intern(keys)
+
+        intern = hyperprop.io._intern
+        monkeypatch.setattr(hyperprop.io, "_intern", counted)
+        return calls
+
+    @pytest.mark.parametrize("line_end", ["\n", "\r\n"])
+    def test_short_unpadded_ids_skip_the_dict(self, tmp_path, dict_calls,
+                                              line_end):
+        # the dict interner gives the same ids about 5x slower, so only
+        # the calls tell the two paths apart
+        files = {
+            "incidence.csv": ["nodeId,edgeId"]
+            + [f"p{i},a{i % 45}" for i in range(300)],
+            "labels.csv": ["nodeId,label"] + [f"p{i},c{i % 7}"
+                                              for i in range(400)],
+            "signal.csv": ["nodeId,value"] + [f"p{i},{i}.5"
+                                              for i in range(300)]}
+        for name, lines in files.items():
+            (tmp_path / name).write_bytes(
+                line_end.join(lines).encode() + line_end.encode())
+        bundle = load_dataset(tmp_path / "incidence.csv",
+                              tmp_path / "labels.csv")
+        ids, _ = load_signal(tmp_path / "signal.csv")
+        assert bundle.hypergraph.n_nodes == 400 and len(ids) == 300
+        assert dict_calls == []
+
+    @pytest.mark.parametrize("row", ["p1234567,a1", "p1,a1234567",
+                                     " p1,a1", "p1,a1\t", "p1,\xa0a1"])
+    def test_long_or_padded_ids_take_the_dict(self, tmp_path, dict_calls,
+                                              row):
+        path = tmp_path / "incidence.csv"
+        path.write_text("nodeId,edgeId\np2,a2\n" + row + "\n",
+                        encoding="utf-8")
+        h, maps = load_incidence(path)
+        assert dict_calls == [2]  # the one column that holds ``row``'s id
+        want, node_ids, edge_ids = row_load_incidence(path)
+        assert maps.node_ids.ids == node_ids
+        assert maps.edge_ids.ids == edge_ids
 
     def test_ragged_row_wins_over_a_later_label_conflict(self, tmp_path):
         path = tmp_path / "labels.csv"
