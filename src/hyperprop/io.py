@@ -30,7 +30,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import (MissingColumnError, MissingLabelError, ParseError,
-                     UnknownNodeError)
+                     ShapeError, UnknownNodeError)
 from .evaluation import MetricReport
 from .hypergraph import (Hypergraph, IdMaps, InternedPairs, _intern,
                          build_hypergraph)
@@ -46,6 +46,8 @@ _MAYBE_SPACE = np.array([chr(b).isspace() for b in range(128)] + [True] * 128)
 _LOW = np.array([(1 << 8 * k) - 1 for k in range(8)], dtype=np.uint64)
 # bytes that _decode gathers at once
 _DECODE_BYTES = 1 << 18
+# rows that write_signal formats with one % and writes at once
+_WRITE_ROWS = 512
 
 
 @dataclass(frozen=True)
@@ -441,27 +443,45 @@ def _first_non_float(texts):
 
 
 def write_signal(path, node_ids, values):
-    """Write a per-node signal file (inverse of :func:`load_signal`)."""
+    """Write a per-node signal file (inverse of :func:`load_signal`).
+
+    ``values`` has shape ``(len(node_ids),)`` or ``(len(node_ids), d)``.
+    The file is what csv's default writer makes of the header ``nodeId``,
+    ``value`` (``value0`` ... ``value{d-1}`` when ``d != 1``) and one row
+    per node: the id, then each value as ``%.17g``, so the file round-trips
+    losslessly; rows end in ``\\r\\n``.  Rows are formatted and written
+    :data:`_WRITE_ROWS` at a time, with one ``%`` and one write per block,
+    so beyond a list of the ids the writer holds one block as Python floats
+    and text, never the whole file.  A shape that does not match the ids raises
+    :class:`ShapeError` before the file is opened.
+    """
     values = np.asarray(values, dtype=np.float64)
+    ids = list(node_ids)
+    if values.ndim not in (1, 2):
+        raise ShapeError(f"values must be 1-D or 2-D, got shape {values.shape}")
+    if len(values) != len(ids):
+        raise ShapeError(f"values have {len(values)} rows for {len(ids)} "
+                         "node ids")
     if values.ndim == 1:
         values = values[:, None]
     d = values.shape[1]
     header = ["nodeId"] + (["value"] if d == 1 else
                            [f"value{i}" for i in range(d)])
-    ids = list(node_ids)
     try:
         plain = _NEEDS_QUOTES.search("".join(ids)) is None
     except TypeError:  # a non-str id: csv decides how it prints
         plain = False
     if not plain:
         ids = list(map(_csv_field, ids))
-    line = "%s," + ",".join(["%.17g"] * d) + "\r\n"
+    if "%" in "".join(ids):  # the ids become part of a %-template
+        ids = [node_id.replace("%", "%%") for node_id in ids]
+    row_end = ",%.17g" * d + "\r\n"
     with open(path, "w", encoding="utf-8", newline="") as fh:
         csv.writer(fh).writerow(header)
-        # numpy rows, not values.tolist(), which holds every value as a
-        # Python float at once
-        fh.writelines(line % (node_id, *row)
-                      for node_id, row in zip(ids, values))
+        for start in range(0, len(ids), _WRITE_ROWS):
+            block = slice(start, start + _WRITE_ROWS)
+            template = row_end.join(ids[block]) + row_end
+            fh.write(template % tuple(values[block].ravel().tolist()))
 
 
 def _csv_field(value) -> str:

@@ -13,10 +13,12 @@ the public single-column functions.
 :func:`row_load_signal` are the reference for ingestion: the row-by-row
 ``csv.reader`` loop the columnar reader replaced, with one dict lookup per
 pair and the structure built from Python sets into plain CSR lists,
-without the engine's ``Hypergraph``.
+without the engine's ``Hypergraph``.  :func:`row_write_signal` is the
+reference for the block writer: one ``csv.writer`` row per node.
 """
 
 import csv
+import io
 import math
 import time
 from concurrent.futures import ThreadPoolExecutor
@@ -399,6 +401,21 @@ def row_load_signal(path):
     if not ids:
         raise ParseError(f"{path}: no signal rows")
     return ids, values
+
+
+def row_write_signal(node_ids, values):
+    """The bytes ``write_signal`` writes: one ``csv.writer`` row per node."""
+    values = np.asarray(values, dtype=np.float64)
+    if values.ndim == 1:
+        values = values[:, None]
+    d = values.shape[1]
+    buf = io.StringIO(newline="")
+    writer = csv.writer(buf)
+    writer.writerow(["nodeId"] + (["value"] if d == 1 else
+                                  [f"value{i}" for i in range(d)]))
+    for node_id, row in zip(node_ids, values, strict=True):
+        writer.writerow([node_id] + [format(v, ".17g") for v in row])
+    return buf.getvalue().encode("utf-8")
 
 
 def _is_int(text):

@@ -1,23 +1,50 @@
 import csv
-import io
 import json
 import sys
 import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 import hyperprop.io
 from hyperprop import (MetricCell, MetricReport, MissingColumnError,
-                       MissingLabelError, ParseError, UnknownNodeError,
+                       MissingLabelError, ParseError, ShapeError,
+                       UnknownNodeError,
                        dataset_stats, load_dataset, load_incidence,
                        load_labels, load_signal, write_report, write_signal)
 from hyperprop.io import canonical_json_bytes, read_labels, report_to_dict
-from oracles import row_load_incidence
+from oracles import row_load_incidence, row_write_signal
 from util import incidence_arrays
 
 INCIDENCE = "nodeId,edgeId\na,e1\nb,e1\nb,e2\nc,e2\n"
 LABELS = "nodeId,label\na,art\nb,bio\nc,art\n"
+
+# ids csv must quote, ids holding % (which a %-template must not read as a
+# conversion), a vertical tab (not a csv line end) and ids that are not str
+SIGNAL_IDS = st.one_of(
+    st.text(st.sampled_from(list('ab%s,"\r\n\x0b é')), max_size=6),
+    st.sampled_from(["%", "%s", "%%", "%.17g", "100%"]),
+    st.integers(), st.floats())
+SIGNAL_VALUES = st.one_of(
+    st.floats(),
+    st.sampled_from([-0.0, np.inf, -np.inf, np.nan, 5e-324, 1e-310]))
+
+
+@st.composite
+def signals(draw):
+    """``(node ids, values)`` with 1-D or 2-D values and a row count at,
+    or one off, a multiple of the writer's block size."""
+    block = hyperprop.io._WRITE_ROWS
+    n = draw(st.sampled_from([0, 1, 2, block - 1, block, block + 1,
+                              2 * block + 1]))
+    shape = (n,) if draw(st.booleans()) else (n, draw(st.integers(1, 4)))
+    id_pool = draw(st.lists(SIGNAL_IDS, min_size=1, max_size=8))
+    value_pool = np.array(draw(st.lists(SIGNAL_VALUES, min_size=1,
+                                        max_size=8)))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    ids = [id_pool[i] for i in rng.integers(len(id_pool), size=n)]
+    return ids, value_pool[rng.integers(value_pool.size, size=shape)]
 
 
 @pytest.fixture
@@ -416,16 +443,48 @@ class TestSignalFiles:
                            [1e17, 5.0], [-7.0, 0.0]])
         path = tmp_path / "signal.csv"
         write_signal(path, ids, values)
-        expected = io.StringIO(newline="")
-        writer = csv.writer(expected)
-        writer.writerow(["nodeId", "value0", "value1"])
-        for node_id, row in zip(ids, values):
-            writer.writerow([node_id] + [format(v, ".17g") for v in row])
-        assert path.read_bytes() == expected.getvalue().encode("utf-8")
+        assert path.read_bytes() == row_write_signal(ids, values)
         assert path.read_bytes().startswith(
             b'nodeId,value0,value1\r\nplain,0.10000000000000001,-0\r\n'
             b'"a,""b""\nc",0.33333333333333331,2.5e-300\r\n'
             b'"d\re",inf,nan\r\n')
+
+    @settings(max_examples=60, deadline=None, derandomize=True,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(signal=signals())
+    def test_bytes_match_the_row_writer(self, tmp_path, signal):
+        ids, values = signal
+        path = tmp_path / "signal.csv"
+        write_signal(path, ids, values)
+        assert path.read_bytes() == row_write_signal(ids, values)
+
+    @pytest.mark.parametrize("n_ids, shape", [
+        (3, (2, 1)), (1, (2,)), (0, (1, 3)), (2, (2, 1, 1)), (1, ()),
+    ])
+    def test_shape_mismatch_rejected_before_the_file(self, tmp_path, n_ids,
+                                                     shape):
+        path = tmp_path / "signal.csv"
+        ids = [f"n{i}" for i in range(n_ids)]
+        with pytest.raises(ShapeError):
+            write_signal(path, ids, np.zeros(shape))
+        assert not path.exists()
+
+    def test_many_rows_in_memory_bounded_by_the_block(self, tmp_path):
+        n, d = 100_000, 7
+        ids = [f"n{i}" for i in range(n)]
+        values = np.random.default_rng(0).random((n, d))
+        path = tmp_path / "signal.csv"
+        tracemalloc.start()
+        try:
+            write_signal(path, ids, values)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # the file is about 13 MB: as one str it would take as much, and
+        # values.tolist() about 22 MB.  The writer's list of the ids and
+        # their joined text take under 2 MB, one block of rows under 1 MB.
+        assert path.stat().st_size > 12 * 2**20
+        assert peak < 4 * 2**20
 
     def test_plain_ids_bytes(self, tmp_path):
         path = tmp_path / "signal.csv"
