@@ -27,12 +27,22 @@ labels, and only the other rows are ranked; while those are under half
 the nodes (classification), the last propagation layer or the Naive
 Bayes score runs on them alone.  A block holds as many classes as fit
 one ``n_nodes x block`` float64 matrix in ``_BLOCK_BYTES``.  Its class
-indicator columns are copied row-major, so the boolean seed, which goes
-to :func:`propagate` as is, and the Naive Bayes labels are row-major too,
-and no sparse product copies its dense operand.  Units are independent:
-the harness can run them on a thread pool, and results are identical for
-any worker count and block size.  A cell's ``micros`` is its equal share
-of its block's method time.
+indicator columns are copied row-major, so the boolean seed and the
+Naive Bayes labels are row-major too, and no sparse product copies its
+dense operand.  Units are independent: the harness can run them on a
+thread pool, and results are identical for any worker count and block
+size.  A cell's ``micros`` is its equal share of its block's method
+time.
+
+For ``row`` and ``alpha``, whose layer starts with the gather
+``B^-1 H^T x``, the seed's first edge averages are counted, not
+gathered.  One ``bincount`` per run counts each hyperedge's members of
+every class; a unit's counts are those over its known rows (all nodes
+less the test fold in classification, the training fold in retrieval),
+divided by the edge degree and handed to :func:`propagate` as
+``edge_means=``.  Float64 sums 0/1 values exactly, so this equals the
+gather bit for bit.  ``column`` and ``symmetric`` get the boolean seed
+as is and gather it.
 """
 
 from __future__ import annotations
@@ -40,6 +50,7 @@ from __future__ import annotations
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
+from functools import partial
 
 import numpy as np
 
@@ -47,7 +58,7 @@ from .errors import InvalidConfigError, InvalidFoldsError, ShapeError, UnknownCl
 from .hypergraph import Hypergraph
 from .metrics import precision_at_k, roc_auc
 from .naive_bayes import fit_naive_bayes, naive_bayes_log_odds
-from .propagation import PropagationConfig, propagate
+from .propagation import _GATHER_FIRST, PropagationConfig, propagate
 
 TASKS = ("classification", "retrieval")
 METHODS = ("propagation", "naive-bayes")
@@ -219,15 +230,19 @@ def _cell_rng(seed: int, class_pos: int, fold: int) -> np.random.Generator:
         np.random.SeedSequence(entropy=seed, spawn_key=(class_pos, fold)))
 
 
-def _skip_reasons(y, fold_mask, task) -> list:
-    """Per class column of ``y``: why its cell in this fold is skipped, or None."""
+def _skip_reasons(class_of, class_sizes, fold_mask, task) -> list:
+    """Per class: why its cell in this fold is skipped, or None.
+
+    ``class_of`` holds each node's class position and ``class_sizes``
+    each class's node count."""
+    fold_pos = np.bincount(class_of[fold_mask], minlength=class_sizes.size)
     if task.task == "retrieval":
         return [None if any_pos else "training fold contains no positive nodes"
-                for any_pos in y[fold_mask].any(axis=0)]
-    test_pos, test_size = y[fold_mask].sum(axis=0), int(fold_mask.sum())
-    train_pos, train_size = y.sum(axis=0) - test_pos, y.shape[0] - test_size
+                for any_pos in fold_pos]
+    test_size = int(fold_mask.sum())
+    train_size = class_of.size - test_size
     reasons = []
-    for tp, rp in zip(test_pos, train_pos):
+    for tp, rp in zip(fold_pos, class_sizes - fold_pos):
         if tp in (0, test_size):
             reasons.append("test fold contains a single class")
         elif task.method == "naive-bayes" and rp in (0, train_size):
@@ -237,11 +252,46 @@ def _skip_reasons(y, fold_mask, task) -> list:
     return reasons
 
 
-def _score_block(h, y, fold_mask, task, rngs):
+def _seed_edge_means(h, class_of, n_classes, assignment, task):
+    """``(fold, block) -> B^-1 H^T seed`` for the seed of that unit,
+    counted, not gathered.
+
+    Each incidence's key is ``class * n_edges + edge``, grouped by the
+    fold of its node, so one ``bincount`` over a fold's slice counts the
+    members of every class per hyperedge.  The keys and the all-node
+    counts are held for the run, a fold's counts for its unit.
+    """
+    folds = assignment.folds
+    order = np.argsort(folds, kind="stable")
+    rows = h.node_edge_matrix[order]
+    keys = (np.repeat(class_of[order], np.diff(rows.indptr))
+            * np.int64(h.n_edges) + rows.indices)
+    starts = rows.indptr[np.searchsorted(folds[order],
+                                         np.arange(assignment.n_folds + 1))]
+    del rows
+
+    def count(fold_keys):
+        return np.bincount(fold_keys, minlength=n_classes * h.n_edges
+                           ).reshape(n_classes, h.n_edges)
+
+    total = count(keys) if task.task == "classification" else None
+
+    def edge_means(fold, block):
+        counts = count(keys[starts[fold]:starts[fold + 1]])[block]
+        if total is not None:
+            counts = total[block] - counts
+        # row-major, or the scatter copies them
+        return np.divide(counts.T, h.edge_degree[:, None], order="C")
+
+    return edge_means
+
+
+def _score_block(h, y, fold_mask, task, rngs, edge_means=None):
     """The metric per class column of ``y`` for one fold, ranking every
     row but the known ones: the other folds in classification, the fold
     itself in retrieval.  ``rngs`` yields one generator per column, drawn
-    from only for retrieval's pseudo-negatives."""
+    from only for retrieval's pseudo-negatives; ``edge_means``, if given,
+    returns the seed's first edge averages for :func:`propagate`."""
     known = fold_mask if task.task == "retrieval" else ~fold_mask
     ranked = np.flatnonzero(~known)
     # a row copy of H pays off for one fold's rows, not for k - 1 folds'
@@ -249,7 +299,9 @@ def _score_block(h, y, fold_mask, task, rngs):
     seed = known[:, None] & y
     if task.method == "propagation":
         t0 = time.perf_counter()
-        scores = propagate(h, seed, task.propagation, nodes=nodes)
+        means = None if edge_means is None else edge_means()
+        scores = propagate(h, seed, task.propagation, nodes=nodes,
+                           edge_means=means)
         micros = (time.perf_counter() - t0) * 1e6
     else:
         if task.task == "classification":
@@ -282,15 +334,22 @@ def _run(h: Hypergraph, labels, task: TaskSpec, dataset_name, class_names,
     if labels.shape != (h.n_nodes,):
         raise ShapeError(
             f"labels must have shape ({h.n_nodes},), got {labels.shape}")
-    present = np.unique(labels)
+    present, class_of, class_sizes = np.unique(
+        labels, return_inverse=True, return_counts=True)
     y = labels[:, None] == present  # n_nodes x classes, one-vs-rest
     assignment = assign_folds(h.n_nodes, task.n_folds, task.seed)
+    counted = None  # (fold, block) -> the seed's first edge averages
+    if (task.method == "propagation"
+            and task.propagation.variant in _GATHER_FIRST):
+        counted = _seed_edge_means(h, class_of, present.size, assignment,
+                                   task)
     width = max(1, _BLOCK_BYTES // (8 * h.n_nodes))
 
     outcomes = {}  # (class_pos, fold) -> (value, micros) or skip reason
     units = []
     for fold in range(task.n_folds):
-        reasons = _skip_reasons(y, assignment.folds == fold, task)
+        reasons = _skip_reasons(class_of, class_sizes,
+                                assignment.folds == fold, task)
         live = []
         for class_pos, reason in enumerate(reasons):
             if reason is None:
@@ -302,9 +361,10 @@ def _run(h: Hypergraph, labels, task: TaskSpec, dataset_name, class_names,
     def compute(unit):
         fold, block = unit
         rngs = (_cell_rng(task.seed, class_pos, fold) for class_pos in block)
+        means = None if counted is None else partial(counted, fold, block)
         # row-major, so no sparse product copies its dense operand
         return _score_block(h, np.ascontiguousarray(y[:, block]),
-                            assignment.folds == fold, task, rngs)
+                            assignment.folds == fold, task, rngs, means)
 
     if n_jobs > 1:
         with ThreadPoolExecutor(max_workers=n_jobs) as pool:

@@ -36,7 +36,11 @@ allocates the next, and scales its own arrays in place.  Its peak is
 that matrix plus the ``n_edges x d`` edge averages; ``alpha`` holds one
 more node matrix, the previous signal its residual blends in.  A signal
 of another dtype (a boolean seed, say) is converted once, and the copy
-counts as the first layer's matrix.
+counts as the first layer's matrix; boolean and integer signals skip the
+finiteness scan, since they cannot hold NaN or inf.  ``row`` and
+``alpha`` start each layer with the gather ``B^-1 H^T x``, so a caller
+that already has its first result passes it as ``edge_means=`` and that
+gather is skipped.
 """
 
 from __future__ import annotations
@@ -79,12 +83,13 @@ class PropagationConfig:
                 f"not {self.variant!r}")
 
 
-def _as_signal(values, n_rows: int, side: str):
-    """Coerce to a 2-D float64 array with ``n_rows`` rows.
+def _signal_2d(values, n_rows: int, side: str):
+    """``values`` as an array with ``n_rows`` rows, 1-D input as one
+    column, in its own dtype.
 
     Returns ``(array, was_1d)`` so callers can hand back the caller's ndim.
     """
-    arr = np.asarray(values, dtype=np.float64)
+    arr = np.asarray(values)
     was_1d = arr.ndim == 1
     if was_1d:
         arr = arr[:, None]
@@ -93,7 +98,19 @@ def _as_signal(values, n_rows: int, side: str):
     if arr.shape[0] != n_rows:
         raise ShapeError(
             f"{side} signal has {arr.shape[0]} rows, expected {n_rows}")
-    if not np.all(np.isfinite(arr)):
+    return arr, was_1d
+
+
+def _as_signal(values, n_rows: int, side: str):
+    """:func:`_signal_2d`, converted to float64 and checked finite.
+
+    Boolean and integer input cannot hold NaN or inf, so only other
+    dtypes are scanned.
+    """
+    arr, was_1d = _signal_2d(values, n_rows, side)
+    exact = arr.dtype.kind in "biu"
+    arr = arr.astype(np.float64, copy=False)
+    if not exact and not np.all(np.isfinite(arr)):
         raise ValueError(f"{side} signal contains non-finite entries")
     return arr, was_1d
 
@@ -106,6 +123,11 @@ _LAYER_SHAPES = {
     "symmetric": ("inv_sqrt_node_degree", "inv_sqrt_node_degree", False),
     "alpha": ("inv_node_degree", None, True),
 }
+# the variants whose layer starts with the gather B^-1 H^T x, and so take
+# its first result as propagate(..., edge_means=)
+_GATHER_FIRST = frozenset(
+    variant for variant, (_, before, _) in _LAYER_SHAPES.items()
+    if before is None)
 
 
 def _edge_mean(h: Hypergraph, x2: np.ndarray) -> np.ndarray:
@@ -160,7 +182,7 @@ def node_average(h: Hypergraph, r) -> np.ndarray:
 
 
 def propagate(h: Hypergraph, x, config: PropagationConfig,
-              nodes=None) -> np.ndarray:
+              nodes=None, *, edge_means=None) -> np.ndarray:
     """Apply ``config.layers`` propagation layers to an initial signal.
 
     Every variant runs the same layer; a per-variant table says which
@@ -176,17 +198,42 @@ def propagate(h: Hypergraph, x, config: PropagationConfig,
         these rows only, and the result equals
         ``propagate(h, x, config)[nodes]`` bit for bit: a CSR product sums
         each row on its own, in stored order.
+    edge_means : array, optional
+        The first layer's edge averages ``B^-1 H^T x``, with the shape of
+        ``edge_average(h, x)``, for the ``row`` and ``alpha`` variants,
+        whose layer starts with them.  The first gather is then skipped:
+        ``x`` is only shape-checked, and converted to float only for the
+        alpha residual.  For a 0/1 ``x`` they are member counts divided
+        by the edge degree, which a caller may count without a product;
+        float64 sums 0/1 values exactly, so the result is bitwise equal.
 
     Raises
     ------
     ShapeError
-        If ``x`` does not have ``n_nodes`` rows, or ``nodes`` is not a
+        If ``x`` does not have ``n_nodes`` rows, ``edge_means`` does not
+        have the shape of ``edge_average(h, x)``, or ``nodes`` is not a
         1-D integer array or holds an id outside ``[0, h.n_nodes)``.
+    InvalidConfigError
+        If ``edge_means`` is given for ``column`` or ``symmetric``, which
+        scale ``x`` before the gather.
     """
-    x2, was_1d = _as_signal(x, h.n_nodes, "node")
+    out_name, in_name, residual = _LAYER_SHAPES[config.variant]
+    if edge_means is None:
+        x2, was_1d = _as_signal(x, h.n_nodes, "node")
+    else:
+        if config.variant not in _GATHER_FIRST:
+            raise InvalidConfigError(
+                f"edge_means= is B^-1 H^T x, which the {config.variant!r} "
+                f"variant does not gather: it scales x first")
+        convert = _as_signal if residual else _signal_2d
+        x2, was_1d = convert(x, h.n_nodes, "node")
+        expected = (h.n_edges,) if was_1d else (h.n_edges, x2.shape[1])
+        if np.shape(edge_means) != expected:
+            raise ShapeError(f"edge_means has shape {np.shape(edge_means)}, "
+                             f"expected {expected}")
+        r, _ = _as_signal(edge_means, h.n_edges, "edge")
     if nodes is not None:
         nodes = _check_nodes(nodes, h)
-    out_name, in_name, residual = _LAYER_SHAPES[config.variant]
     out_scale = None if out_name is None else getattr(h, out_name)
     in_scale = None if in_name is None else getattr(h, in_name)
     scatter = h.node_edge_matrix
@@ -194,9 +241,10 @@ def propagate(h: Hypergraph, x, config: PropagationConfig,
     # place; x itself never is
     owned = isinstance(x, np.ndarray) and not np.may_share_memory(x2, x)
     for layer in range(config.layers):
-        if in_scale is not None:
-            x2 = np.multiply(in_scale, x2, out=x2 if owned else None)
-        r = _edge_mean(h, x2)
+        if layer or edge_means is None:
+            if in_scale is not None:
+                x2 = np.multiply(in_scale, x2, out=x2 if owned else None)
+            r = _edge_mean(h, x2)
         if nodes is not None and layer == config.layers - 1:
             scatter = scatter[nodes]
             if out_scale is not None:
@@ -216,4 +264,3 @@ def propagate(h: Hypergraph, x, config: PropagationConfig,
         x2, owned = out, True
         del out
     return x2[:, 0] if was_1d else x2
-

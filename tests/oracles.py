@@ -104,6 +104,26 @@ def dense_propagate_layer(h, x, config=None):
     return 2.0 * a * (dinv @ H @ binv @ H.T @ x) + (1.0 - 2.0 * a) * x
 
 
+def hgnn_operator(h):
+    """The HGNN propagation operator of Feng et al. 2019, dense.
+
+    ``Dv^-1/2 H W De^-1 H^T Dv^-1/2`` with every hyperedge weight 1
+    (``W = I``): ``Dv`` holds each node's summed edge weights, ``De`` each
+    edge's member count.  An isolated node has ``Dv = 0``; ``1/0 := 0``
+    gives it a zero row and column.  Built from the paper's formula with
+    its own degrees and square roots, not through
+    :func:`dense_propagate_layer`.
+    """
+    _guard_dense(h)
+    H = _dense_incidence(h)
+    W = np.eye(h.n_edges)
+    dv = H @ W @ np.ones(h.n_edges)
+    de = H.T @ np.ones(h.n_nodes)
+    dv_inv_sqrt = np.array([1.0 / math.sqrt(d) if d > 0 else 0.0 for d in dv])
+    return (np.diag(dv_inv_sqrt) @ H @ W @ np.diag(1.0 / de) @ H.T
+            @ np.diag(dv_inv_sqrt))
+
+
 def pairwise_auc(scores, labels):
     """ROC-AUC by enumerating every positive-negative pair, ties worth 1/2."""
     pos = [s for s, l in zip(scores, labels) if l == 1]

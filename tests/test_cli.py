@@ -1,12 +1,16 @@
+import contextlib
 import csv
+import io
 import json
 import os
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from hyperprop.cli import main
 from hyperprop.io import load_signal
@@ -298,3 +302,131 @@ class TestMalformedInputExits2:
         assert result.returncode == 2
         assert "Traceback" not in result.stderr
         assert f"{labels}: line 3: invalid UTF-8" in result.stderr
+
+
+# flag -> (valid values, invalid values)
+FLAGS = {
+    "--variant": (["row", "column", "symmetric"], ["diag"]),
+    "--layers": (["1", "2"], ["0", "-1", "x"]),
+    "--method": (["propagation", "naive-bayes"], ["svm"]),
+    "--smoothing": (["1", "0.5"], ["0", "nan", "-1"]),
+    "--seed": (["0", "7"], ["-1", "x"]),
+    "--jobs": (["1", "2"], ["0"]),
+    "--format": (["json", "csv"], ["xml"]),
+}
+NODES = list("abcdefgh")
+
+
+def pick(draw, good, bad):
+    """Mostly a valid value, one time in five an invalid one."""
+    if draw(st.integers(0, 4)) == 0:
+        return draw(st.sampled_from(bad))
+    return draw(st.sampled_from(good))
+
+
+@st.composite
+def csv_files(draw, header, rows):
+    """Bytes of a small delimited file holding ``rows``, one time in three
+    broken: a wrong header, a ragged row, an empty id, bad UTF-8, or
+    nothing at all."""
+    lines = [header] + [",".join(row) for row in rows]
+    fault = draw(st.sampled_from(
+        [None] * 10 + ["header", "ragged", "empty", "utf8", "blank"]))
+    if fault == "header":
+        lines[0] = "node,thing"
+    elif fault == "ragged":
+        lines.append("a,b,c")
+    elif fault == "empty":
+        lines.append(f",{rows[0][1]}")
+    elif fault == "blank":
+        lines = []
+    data = "\n".join(lines).encode()
+    return data + b"\xff\n" if fault == "utf8" else data
+
+
+def one_per_node(values):
+    """Rows ``(node, value)`` for distinct nodes, in drawn order."""
+    return st.lists(st.sampled_from(NODES), min_size=1, unique=True).flatmap(
+        lambda nodes: st.tuples(*(st.tuples(st.just(n), values)
+                                  for n in nodes)))
+
+
+@st.composite
+def cli_runs(draw):
+    """An argv for one subcommand, and the files it names as ``{d}/...``.
+
+    Labels usually cover every node; a missing or conflicting label, a
+    bad flag value, a missing flag, file or directory, and an unknown
+    flag each turn up now and then."""
+    command = draw(st.sampled_from(["propagate", "classify", "retrieve"]))
+    labels = [(n, draw(st.sampled_from("xyz"))) for n in NODES]
+    if draw(st.integers(0, 5)) == 0:
+        labels = labels[1:] + [(labels[1][0], "w")]
+    edges = st.lists(st.tuples(st.sampled_from(NODES),
+                               st.sampled_from(["e0", "e1", "e2"])),
+                     min_size=1, max_size=16)
+    files = {"incidence": draw(csv_files("nodeId,edgeId", draw(edges))),
+             "labels": draw(csv_files("nodeId,label", labels)),
+             "signal": draw(csv_files("nodeId,value", draw(one_per_node(
+                 st.sampled_from(["0", "1", "0.5", "-2e3", "nan", "abc"])))))}
+    sources = ["incidence", "labels"]
+    if command == "propagate":
+        sources = ["incidence", draw(st.sampled_from(["labels", "signal"]))]
+    argv = [command]
+    for name in sources:
+        path = pick(draw, [f"{{d}}/{name}.csv"],
+                    [None, "{d}/missing.csv", "{d}"])
+        if path is not None:
+            argv += [f"--{name}", path]
+    output = pick(draw, ["{d}/out"], [None, "{d}/no/such/dir/out"])
+    if output is not None and (command == "propagate"
+                               or draw(st.booleans())):
+        argv += ["--output", output]
+    flags = ["--variant", "--layers"]
+    if command != "propagate":
+        flags = list(FLAGS)
+        argv += ["--folds", pick(draw, ["2", "3"], ["1", "1000", "x"])]
+    if command == "retrieve" and draw(st.booleans()):
+        argv += ["--top-k", pick(draw, ["1", "5"], ["0"])]
+    for flag in draw(st.lists(st.sampled_from(flags), max_size=3,
+                              unique=True)):
+        argv += [flag, pick(draw, *FLAGS[flag])]
+    if draw(st.integers(0, 9)) == 0:
+        argv += ["--variant", "alpha",
+                 "--alpha", pick(draw, ["0.3"], ["1.5", "nan", "x"])]
+    if draw(st.integers(0, 14)) == 0:
+        argv += ["--bogus", "1"]
+    return argv, files
+
+
+class TestFuzz:
+    """Generated argv and files: exit 0, 2 or 3, never a traceback."""
+
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    @given(run=cli_runs())
+    def test_exit_code_and_no_traceback(self, run):
+        argv, files = run
+        with tempfile.TemporaryDirectory() as d:
+            for name, data in files.items():
+                Path(d, f"{name}.csv").write_bytes(data)
+            out, err = io.StringIO(), io.StringIO()
+            with contextlib.redirect_stdout(out), \
+                    contextlib.redirect_stderr(err):
+                try:
+                    code = main([a.format(d=d) for a in argv])
+                except SystemExit as exc:  # argparse rejected the argv
+                    code = exc.code
+        assert code in (0, 2, 3), (argv, err.getvalue())
+        assert "Traceback" not in err.getvalue()
+        if code != 0:
+            assert err.getvalue().strip(), argv
+
+    def test_malformed_file_in_a_child_process(self, cliques, tmp_path):
+        incidence, labels = cliques
+        broken = tmp_path / "broken.csv"
+        broken.write_text(incidence.read_text() + "a0,EA,extra\n")
+        result = run_cli("classify", "--incidence", str(broken),
+                         "--labels", str(labels))
+        assert result.returncode == 2
+        assert "Traceback" not in result.stderr
+        assert result.stderr.startswith(f"error: {broken}: line 22: ")

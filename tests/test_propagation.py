@@ -3,10 +3,11 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from hyperprop import (InvalidConfigError, PropagationConfig, ShapeError,
-                       build_hypergraph, edge_average, node_average,
-                       propagate)
+from hyperprop import (VARIANTS, InvalidConfigError, PropagationConfig,
+                       ShapeError, build_hypergraph, edge_average,
+                       node_average, propagate)
 
 import oracles
 from util import (bernoulli_hypergraph, ordinary_graph, random_hypergraph,
@@ -28,6 +29,53 @@ def chain_iso():
         [("u1", "v1"), ("u2", "v1"), ("u2", "v2"), ("u3", "v2")],
         node_universe=["u1", "u2", "u3", "u4"])
     return h
+
+
+@st.composite
+def graphs(draw, max_nodes=40, max_edges=15):
+    """A random hypergraph whose last nodes, and any the draw misses,
+    are isolated."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    n = draw(st.integers(2, max_nodes))
+    m = draw(st.integers(1, max_edges))
+    member = rng.random((n, m)) < draw(st.sampled_from([0.1, 0.3, 0.6]))
+    member[n - draw(st.integers(0, 2)):] = False
+    rows, cols = member.nonzero()
+    pairs = list(zip(rows.tolist(), cols.tolist())) or [(0, 0)]
+    h, _ = build_hypergraph(pairs, node_universe=range(n))
+    return h
+
+
+@st.composite
+def signals(draw, n_rows):
+    """A float signal of 1 to 4 columns: normal values, 0/1 seeds or both."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    d = draw(st.integers(1, 4))
+    x = rng.normal(size=(n_rows, d))
+    kind = draw(st.sampled_from(["normal", "seed", "mixed"]))
+    if kind != "normal":
+        seeds = (rng.random((n_rows, d)) < 0.3).astype(np.float64)
+        x = seeds if kind == "seed" else np.where(rng.random(d) < 0.5,
+                                                  seeds, x)
+    return x
+
+
+@st.composite
+def configs(draw, variants=VARIANTS):
+    variant = draw(st.sampled_from(variants))
+    alpha = draw(st.floats(0.05, 0.95)) if variant == "alpha" else None
+    return PropagationConfig(variant=variant, layers=draw(st.integers(1, 3)),
+                             alpha=alpha)
+
+
+@st.composite
+def cases(draw, variants=VARIANTS):
+    """``(h, x, config)`` for one generated propagation."""
+    h = draw(graphs())
+    return h, draw(signals(h.n_nodes)), draw(configs(variants))
+
+
+PROPERTY = settings(max_examples=60, deadline=None, derandomize=True)
 
 
 def all_variant_configs():
@@ -107,19 +155,6 @@ class TestLayer:
                 propagate(h, x, half), propagate(h, x, PropagationConfig()),
                 atol=1e-12)
 
-    def test_linearity(self):
-        rng = np.random.default_rng(4)
-        for cfg in all_variant_configs():
-            for _ in range(20):
-                h = bernoulli_hypergraph(rng)
-                x = random_signal(rng, h.n_nodes, max_cols=2)
-                z = rng.normal(size=x.shape)
-                a, b = rng.normal(size=2)
-                lhs = propagate(h, a * x + b * z, cfg)
-                rhs = (a * propagate(h, x, cfg)
-                       + b * propagate(h, z, cfg))
-                np.testing.assert_allclose(lhs, rhs, atol=1e-10)
-
     def test_input_not_mutated(self, chain):
         # later layers scale and blend their own arrays in place, never x
         x = np.array([[1.0, 0.5], [0.0, 2.0], [0.0, 0.0]])
@@ -159,12 +194,6 @@ class TestMultiLayer:
         out = propagate(chain, x, PropagationConfig(layers=2))
         np.testing.assert_allclose(out, expected, atol=1e-12)
 
-    def test_constant_signal_is_fixed_point(self, chain):
-        for layers in (1, 2, 5):
-            out = propagate(chain, np.full(3, 3.25),
-                            PropagationConfig(layers=layers))
-            np.testing.assert_allclose(out, 3.25, atol=1e-12)
-
     def test_row_range_bound(self):
         rng = np.random.default_rng(6)
         for _ in range(20):
@@ -173,28 +202,7 @@ class TestMultiLayer:
             out = propagate(h, x, PropagationConfig(layers=3))
             assert out.min() >= -1e-12 and out.max() <= 1.0 + 1e-12
 
-    def test_column_variant_preserves_column_sums(self):
-        rng = np.random.default_rng(7)
-        cfg = PropagationConfig(variant="column", layers=2)
-        for _ in range(20):
-            h, _ = ordinary_graph(rng)  # no isolated nodes
-            x = random_signal(rng, h.n_nodes)
-            out = propagate(h, x, cfg)
-            np.testing.assert_allclose(out.sum(axis=0), x.sum(axis=0),
-                                       atol=1e-9)
-
-
 class TestDenseEquivalence:
-    def test_sparse_matches_dense_all_variants(self):
-        rng = np.random.default_rng(8)
-        for _ in range(30):
-            h = bernoulli_hypergraph(rng)
-            x = random_signal(rng, h.n_nodes)
-            for cfg in all_variant_configs():
-                np.testing.assert_allclose(
-                    propagate(h, x, cfg),
-                    oracles.dense_propagate_layer(h, x, cfg), atol=1e-10)
-
     def test_ordinary_graph_kernel_identity(self):
         # with every edge of degree 2, H B^-1 H^T == (A + D) / 2
         rng = np.random.default_rng(9)
@@ -225,6 +233,158 @@ class TestDenseEquivalence:
             oracles.dense_propagate_layer(h, np.zeros(2000))
         with pytest.raises(oracles.SizeGuardError):
             oracles.dense_kernel(h)
+
+
+def dense_layers(h, x, cfg):
+    for _ in range(cfg.layers):
+        x = oracles.dense_propagate_layer(h, x, cfg)
+    return x
+
+
+class TestProperties:
+    """Propagation laws on generated graphs with isolated nodes."""
+
+    @PROPERTY
+    @given(case=cases())
+    def test_sparse_matches_dense(self, case):
+        h, x, cfg = case
+        np.testing.assert_allclose(propagate(h, x, cfg),
+                                   dense_layers(h, x, cfg), atol=1e-10)
+
+    @PROPERTY
+    @given(h=graphs(), value=st.floats(-10, 10), layers=st.integers(1, 5))
+    def test_constant_signal_is_fixed_point_of_row(self, h, value, layers):
+        # an isolated node receives nothing, so its row is 0
+        out = propagate(h, np.full(h.n_nodes, value),
+                        PropagationConfig(layers=layers))
+        expected = np.where(h.node_degree > 0, value, 0.0)
+        np.testing.assert_allclose(out, expected, rtol=1e-12, atol=1e-12)
+
+    @PROPERTY
+    @given(case=cases(variants=["column"]))
+    def test_column_preserves_column_sums(self, case):
+        # the mass on isolated nodes is scaled by 1/0 := 0 and lost
+        h, x, cfg = case
+        kept = x[h.node_degree > 0].sum(axis=0)
+        np.testing.assert_allclose(propagate(h, x, cfg).sum(axis=0), kept,
+                                   rtol=1e-12, atol=1e-9)
+
+    @PROPERTY
+    @given(case=cases(), data=st.data())
+    def test_linearity(self, case, data):
+        h, x, cfg = case
+        z = data.draw(signals(h.n_nodes))[:, :1]
+        a, b = data.draw(st.tuples(st.floats(-3, 3), st.floats(-3, 3)))
+        np.testing.assert_allclose(
+            propagate(h, a * x + b * z, cfg),
+            a * propagate(h, x, cfg) + b * propagate(h, z, cfg), atol=1e-10)
+
+    @PROPERTY
+    @given(case=cases())
+    def test_columns_propagate_as_if_alone(self, case):
+        h, x, cfg = case
+        batch = propagate(h, x, cfg)
+        for j in range(x.shape[1]):
+            assert np.array_equal(batch[:, j], propagate(h, x[:, j], cfg))
+
+    @PROPERTY
+    @given(case=cases(variants=["row", "alpha"]), data=st.data())
+    def test_given_edge_means_equal_the_gather(self, case, data):
+        h, x, cfg = case
+        if data.draw(st.booleans()):
+            x = x[:, 0]
+        if data.draw(st.booleans()) and np.isin(x, (0.0, 1.0)).all():
+            x = x.astype(bool)  # a seed, as the harness passes it
+        nodes = data.draw(st.one_of(
+            st.none(), st.lists(st.integers(0, h.n_nodes - 1), max_size=8)))
+        assert np.array_equal(
+            propagate(h, x, cfg, nodes=nodes, edge_means=edge_average(h, x)),
+            propagate(h, x, cfg, nodes=nodes))
+
+
+class TestHGNN:
+    """``symmetric`` is the HGNN operator of Feng et al. 2019."""
+
+    @PROPERTY
+    @given(h=graphs(), data=st.data(), layers=st.integers(1, 3))
+    def test_symmetric_equals_hgnn_operator(self, h, data, layers):
+        x = data.draw(signals(h.n_nodes))
+        expected = np.linalg.matrix_power(oracles.hgnn_operator(h), layers) @ x
+        out = propagate(h, x, PropagationConfig(variant="symmetric",
+                                                layers=layers))
+        np.testing.assert_allclose(out, expected, atol=1e-10)
+
+    def test_isolated_node_rows_and_columns_are_zero(self, chain_iso):
+        op = oracles.hgnn_operator(chain_iso)
+        assert not op[3].any() and not op[:, 3].any()
+
+
+class TestEdgeMeans:
+    """``propagate(..., edge_means=)`` takes the first layer's
+    ``B^-1 H^T x``."""
+
+    @pytest.mark.parametrize("variant", ["column", "symmetric"])
+    def test_rejected_where_the_gather_is_scaled(self, chain, variant):
+        x = np.array([1.0, 0.0, 0.0])
+        with pytest.raises(InvalidConfigError):
+            propagate(chain, x, PropagationConfig(variant=variant),
+                      edge_means=edge_average(chain, x))
+
+    @pytest.mark.parametrize("means", [np.zeros(3), np.zeros((2, 1)),
+                                       np.zeros((2, 2, 1)), [0.5]])
+    def test_shape_must_be_that_of_the_gather(self, chain, means):
+        with pytest.raises(ShapeError):
+            propagate(chain, np.array([1.0, 0.0, 0.0]), PropagationConfig(),
+                      edge_means=means)
+
+    def test_x_rows_still_checked(self, chain):
+        with pytest.raises(ShapeError):
+            propagate(chain, np.zeros(4), PropagationConfig(),
+                      edge_means=np.zeros(2))
+
+    def test_non_finite_means_rejected(self, chain):
+        with pytest.raises(ValueError):
+            propagate(chain, np.zeros(3), PropagationConfig(),
+                      edge_means=np.array([0.5, np.nan]))
+
+    def test_row_reads_only_the_means(self, chain):
+        # x is shape-checked only: the first layer starts from the means
+        out = propagate(chain, np.zeros((3, 1), dtype=bool),
+                        PropagationConfig(), edge_means=[[0.5], [0.0]])
+        np.testing.assert_array_equal(out, [[0.5], [0.25], [0.0]])
+
+    @pytest.mark.parametrize("cfg", [
+        PropagationConfig(layers=2),
+        PropagationConfig(variant="alpha", alpha=0.3, layers=2)])
+    def test_inputs_not_mutated(self, chain, cfg):
+        x = np.array([[1.0], [0.0], [0.0]])
+        means = edge_average(chain, x)
+        propagate(chain, x, cfg, nodes=[2, 0], edge_means=means)
+        np.testing.assert_array_equal(x, [[1.0], [0.0], [0.0]])
+        np.testing.assert_array_equal(means, [[0.5], [0.0]])
+
+
+class TestSignalDtypes:
+    """Boolean and integer signals need no finiteness scan and give the
+    results of their float64 copies bit for bit."""
+
+    @pytest.mark.parametrize("dtype", [bool, np.int8])
+    @pytest.mark.parametrize("cfg", all_variant_configs(), ids=VARIANTS)
+    def test_equal_to_float_copy(self, dtype, cfg):
+        h = random_hypergraph(300, 60, 1500, seed=0)
+        x = np.random.default_rng(0).random((h.n_nodes, 3)) < 0.3
+        x = x.astype(dtype)
+        cfg = replace(cfg, layers=2)
+        want = propagate(h, x.astype(np.float64), cfg)
+        assert np.array_equal(propagate(h, x, cfg), want)
+        assert np.array_equal(edge_average(h, x), edge_average(h, x * 1.0))
+
+    def test_float_nan_still_rejected(self, chain):
+        x = np.array([[1.0], [np.nan], [0.0]])
+        with pytest.raises(ValueError):
+            propagate(chain, x, PropagationConfig())
+        with pytest.raises(ValueError):
+            propagate(chain, x.astype(np.float32), PropagationConfig())
 
 
 def composed_layer(h, x, cfg):
@@ -262,22 +422,6 @@ class TestBitwiseComposition:
             for _ in range(layers):
                 expected = composed_layer(h, expected, cfg)
             assert np.array_equal(propagate(h, x, cfg), expected)
-
-    @pytest.mark.parametrize("layers", [1, 3])
-    @pytest.mark.parametrize("variant", ["row", "column", "symmetric", "alpha"])
-    def test_columns_propagate_as_if_alone(self, variant, layers):
-        cfg = PropagationConfig(variant=variant, layers=layers,
-                                alpha=0.3 if variant == "alpha" else None)
-        rng = np.random.default_rng(10 + layers)
-        graphs = [random_hypergraph(300, 60, 1500, seed=s) for s in range(3)]
-        graphs += [bernoulli_hypergraph(rng) for _ in range(5)]
-        for h in graphs:
-            x = rng.normal(size=(h.n_nodes, 6))
-            x[:, :3] = rng.random((h.n_nodes, 3)) < 0.2  # one-vs-rest seeds
-            batch = propagate(h, x, cfg)
-            for j in range(x.shape[1]):
-                assert np.array_equal(batch[:, j], propagate(h, x[:, j], cfg))
-
 
 class TestNodes:
     """``nodes=`` returns exactly the selected rows of the full result."""
@@ -325,21 +469,26 @@ class TestMemory:
     still needs it."""
 
     @pytest.mark.parametrize("dtype", [np.float64, bool])
-    @pytest.mark.parametrize("variant,bound", [
-        ("row", 1.5), ("column", 1.5), ("symmetric", 1.5), ("alpha", 2.5)])
-    def test_peak_is_one_node_matrix(self, variant, bound, dtype):
+    @pytest.mark.parametrize("variant,bound,given_means", [
+        ("row", 1.5, False), ("column", 1.5, False),
+        ("symmetric", 1.5, False), ("alpha", 2.5, False),
+        ("row", 1.5, True), ("alpha", 2.5, True)])
+    def test_peak_is_one_node_matrix(self, variant, bound, given_means,
+                                     dtype):
         h = random_hypergraph(4000, 400, 20000, seed=0)
         d = 16
         x = np.random.default_rng(0).random((h.n_nodes, d)) < 0.3
         x = x.astype(dtype)
         cfg = PropagationConfig(variant=variant, layers=3,
                                 alpha=0.3 if variant == "alpha" else None)
+        # the caller's edge means are allocated outside the measured peak
+        kwargs = {"edge_means": edge_average(h, x)} if given_means else {}
         # warm-up: any first-call setup in numpy or scipy stays out of
         # the measured peak; the degree scales are built with the graph
-        propagate(h, x, cfg)
+        propagate(h, x, cfg, **kwargs)
         tracemalloc.start()
         try:
-            propagate(h, x, cfg)
+            propagate(h, x, cfg, **kwargs)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
