@@ -36,13 +36,15 @@ time.
 
 For ``row`` and ``alpha``, whose layer starts with the gather
 ``B^-1 H^T x``, the seed's first edge averages are counted, not
-gathered.  One ``bincount`` per run counts each hyperedge's members of
-every class; a unit's counts are those over its known rows (all nodes
-less the test fold in classification, the training fold in retrieval),
-divided by the edge degree and handed to :func:`propagate` as
-``edge_means=``.  Float64 sums 0/1 values exactly, so this equals the
-gather bit for bit.  ``column`` and ``symmetric`` get the boolean seed
-as is and gather it.
+gathered.  Once per run the incidences' edge ids are grouped by the
+(class, fold) of their node; a unit counts each of its classes over its
+known folds (every fold but the test fold in classification, the
+training fold in retrieval) with ``bincount``, divides by the edge
+degree and hands the result to :func:`propagate` as ``edge_means=``.
+A unit's counts are its ``n_edges x block`` edge averages, the array
+the gather would make, whatever the class count.  Float64 sums 0/1
+values exactly, so this equals the gather bit for bit.  ``column`` and
+``symmetric`` get the boolean seed as is and gather it.
 """
 
 from __future__ import annotations
@@ -256,32 +258,35 @@ def _seed_edge_means(h, class_of, n_classes, assignment, task):
     """``(fold, block) -> B^-1 H^T seed`` for the seed of that unit,
     counted, not gathered.
 
-    Each incidence's key is ``class * n_edges + edge``, grouped by the
-    fold of its node, so one ``bincount`` over a fold's slice counts the
-    members of every class per hyperedge.  The keys and the all-node
-    counts are held for the run, a fold's counts for its unit.
+    The run holds every incidence's edge id, grouped by the (class, fold)
+    of its node, so one class's incidences in a range of folds are one
+    slice.  A unit counts each of its classes over its known folds (one
+    slice in retrieval, the two beside the test fold in classification)
+    into its ``n_edges x block`` result, the array the gather would have
+    made; no count outlives the unit, and none spans another class.
     """
-    folds = assignment.folds
-    order = np.argsort(folds, kind="stable")
+    k = assignment.n_folds
+    group = class_of * k + assignment.folds
+    order = np.argsort(group, kind="stable")
     rows = h.node_edge_matrix[order]
-    keys = (np.repeat(class_of[order], np.diff(rows.indptr))
-            * np.int64(h.n_edges) + rows.indices)
-    starts = rows.indptr[np.searchsorted(folds[order],
-                                         np.arange(assignment.n_folds + 1))]
+    bounds = rows.indptr[np.searchsorted(group[order],
+                                         np.arange(n_classes * k + 1))]
+    edges = rows.indices
     del rows
 
-    def count(fold_keys):
-        return np.bincount(fold_keys, minlength=n_classes * h.n_edges
-                           ).reshape(n_classes, h.n_edges)
-
-    total = count(keys) if task.task == "classification" else None
-
     def edge_means(fold, block):
-        counts = count(keys[starts[fold]:starts[fold + 1]])[block]
-        if total is not None:
-            counts = total[block] - counts
-        # row-major, or the scatter copies them
-        return np.divide(counts.T, h.edge_degree[:, None], order="C")
+        # the known folds, as ranges of fold ids
+        known = ([(fold, fold + 1)] if task.task == "retrieval"
+                 else [(0, fold), (fold + 1, k)])
+        out = np.empty((h.n_edges, len(block)))
+        for col, class_pos in enumerate(block):
+            first = class_pos * k
+            out[:, col] = sum(
+                np.bincount(edges[bounds[first + a]:bounds[first + b]],
+                            minlength=h.n_edges)
+                for a, b in known)
+        out /= h.edge_degree[:, None]
+        return out
 
     return edge_means
 

@@ -101,18 +101,23 @@ def _signal_2d(values, n_rows: int, side: str):
     return arr, was_1d
 
 
-def _as_signal(values, n_rows: int, side: str):
-    """:func:`_signal_2d`, converted to float64 and checked finite.
+def _as_float(arr: np.ndarray, side: str) -> np.ndarray:
+    """``arr`` converted to float64 and checked finite.
 
     Boolean and integer input cannot hold NaN or inf, so only other
     dtypes are scanned.
     """
-    arr, was_1d = _signal_2d(values, n_rows, side)
     exact = arr.dtype.kind in "biu"
     arr = arr.astype(np.float64, copy=False)
     if not exact and not np.all(np.isfinite(arr)):
         raise ValueError(f"{side} signal contains non-finite entries")
-    return arr, was_1d
+    return arr
+
+
+def _as_signal(values, n_rows: int, side: str):
+    """:func:`_signal_2d`, converted to float64 and checked finite."""
+    arr, was_1d = _signal_2d(values, n_rows, side)
+    return _as_float(arr, side), was_1d
 
 
 # variant -> (the Hypergraph degree scale applied after the kernel, the
@@ -218,20 +223,20 @@ def propagate(h: Hypergraph, x, config: PropagationConfig,
         scale ``x`` before the gather.
     """
     out_name, in_name, residual = _LAYER_SHAPES[config.variant]
-    if edge_means is None:
-        x2, was_1d = _as_signal(x, h.n_nodes, "node")
-    else:
+    x2, was_1d = _signal_2d(x, h.n_nodes, "node")
+    if edge_means is not None:
         if config.variant not in _GATHER_FIRST:
             raise InvalidConfigError(
                 f"edge_means= is B^-1 H^T x, which the {config.variant!r} "
                 f"variant does not gather: it scales x first")
-        convert = _as_signal if residual else _signal_2d
-        x2, was_1d = convert(x, h.n_nodes, "node")
         expected = (h.n_edges,) if was_1d else (h.n_edges, x2.shape[1])
         if np.shape(edge_means) != expected:
             raise ShapeError(f"edge_means has shape {np.shape(edge_means)}, "
                              f"expected {expected}")
         r, _ = _as_signal(edge_means, h.n_edges, "edge")
+    # only the first gather and the alpha residual read x's values
+    if edge_means is None or residual:
+        x2 = _as_float(x2, "node")
     if nodes is not None:
         nodes = _check_nodes(nodes, h)
     out_scale = None if out_name is None else getattr(h, out_name)

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -10,6 +12,7 @@ from hyperprop import (VARIANTS, InvalidConfigError, InvalidFoldsError,
 from hyperprop.io import canonical_json_bytes, report_to_dict
 
 import oracles
+from util import random_hypergraph
 
 
 def two_cliques(per_side=10):
@@ -324,6 +327,34 @@ class TestBlockLayout:
         runner(h, labels, TaskSpec(task=task, method=method, n_folds=5,
                                    top_k=12, seed=4))
         assert any(shape[1] > 1 for shape in shapes)
+
+
+class TestCountedMemory:
+    """The counted first edge averages of ``row`` and ``alpha`` cost each
+    unit its own classes' counts, however many classes the run has."""
+
+    @pytest.mark.parametrize("task", ["classification", "retrieval"])
+    @pytest.mark.parametrize("variant", ["row", "alpha"])
+    def test_peak_does_not_grow_with_classes_times_edges(self, monkeypatch,
+                                                         task, variant):
+        h = random_hypergraph(2000, 8000, 16000, seed=0)
+        n_classes = 100
+        labels = np.random.default_rng(0).integers(0, n_classes, h.n_nodes)
+        monkeypatch.setattr(evaluation, "_BLOCK_BYTES", 8 * h.n_nodes * 2)
+        spec = TaskSpec(task=task, n_folds=4, top_k=10, propagation=(
+            PropagationConfig(variant=variant,
+                              alpha=0.3 if variant == "alpha" else None)))
+        runner = run_classification if task == "classification" \
+            else run_retrieval
+        runner(h, labels, spec)  # warm-up
+        tracemalloc.start()
+        try:
+            runner(h, labels, spec)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # one class x edge matrix of int64 counts is 6.4 MB here
+        assert peak < n_classes * h.n_edges * 8 / 4
 
 
 @st.composite

@@ -34,8 +34,12 @@ def chain_iso():
 @st.composite
 def graphs(draw, max_nodes=40, max_edges=15):
     """A random hypergraph whose last nodes, and any the draw misses,
-    are isolated."""
-    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    are isolated; some draws give a 300-node graph with 1500
+    incidences, whose rows are long and sparse."""
+    seed = draw(st.integers(0, 2**32 - 1))
+    if draw(st.integers(0, 4)) == 0:
+        return random_hypergraph(300, 60, 1500, seed=seed)
+    rng = np.random.default_rng(seed)
     n = draw(st.integers(2, max_nodes))
     m = draw(st.integers(1, max_edges))
     member = rng.random((n, m)) < draw(st.sampled_from([0.1, 0.3, 0.6]))
@@ -48,9 +52,9 @@ def graphs(draw, max_nodes=40, max_edges=15):
 
 @st.composite
 def signals(draw, n_rows):
-    """A float signal of 1 to 4 columns: normal values, 0/1 seeds or both."""
+    """A float signal of 1 to 6 columns: normal values, 0/1 seeds or both."""
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
-    d = draw(st.integers(1, 4))
+    d = draw(st.integers(1, 6))
     x = rng.normal(size=(n_rows, d))
     kind = draw(st.sampled_from(["normal", "seed", "mixed"]))
     if kind != "normal":
