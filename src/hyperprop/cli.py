@@ -91,11 +91,14 @@ def cmd_propagate(args) -> int:
         ids, classes, class_names = read_labels(args.labels)
         if not ids:
             raise ParseError(f"{args.labels}: no label rows")
-        values = np.zeros((len(ids), len(class_names)))
-        values[np.arange(len(ids)), classes] = 1.0
     h, maps = load_incidence(args.incidence, node_universe=ids)
-    x0 = np.zeros((h.n_nodes, values.shape[1]))
-    x0[:len(ids)] = values  # universe ids occupy the leading indices
+    # universe ids occupy the leading indices
+    if args.signal is not None:
+        x0 = np.zeros((h.n_nodes, values.shape[1]))
+        x0[:len(ids)] = values
+    else:  # one-vs-rest indicators, which propagate converts once
+        x0 = np.zeros((h.n_nodes, len(class_names)), dtype=bool)
+        x0[np.arange(len(ids)), classes] = True
     out = propagate(h, x0, config)
     write_signal(args.output, maps.node_ids.ids, out)
     return 0

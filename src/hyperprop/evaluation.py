@@ -17,34 +17,37 @@ Retrieval
     seeded pseudo-negatives, as many as there are test nodes, from the
     non-training-positive pool.
 
-A (class, fold) pair is one cell of the report.  The harness works in
-(fold, class block) units: for one fold, a block of classes is scored
-together as the columns of one signal matrix, with one propagation (or
-one batched Naive Bayes fit and score) and one column-wise metric pass.
-Every column gets the value it would get alone.  The known rows (the
-training folds, or the training fold) give the seed or the Naive Bayes
-labels, and only the other rows are ranked; while those are under half
+A (class, fold) pair is one cell of the report.  A run holds each
+node's class position and fold, and one ``(classes, k)`` table of the
+node count of every (class, fold) group, from which the skip rules read
+every fold; it builds no label matrix over nodes and classes.  The
+harness works in (fold, class block) units: for one fold, a block of
+classes is scored together as the columns of one signal matrix, with one
+propagation (or one batched Naive Bayes fit and score) and one
+column-wise metric pass.  Every column gets the value it would get alone.
+A unit compares the class positions of its known rows (the training
+folds, or the training fold) with its block once, which gives the seed
+or the Naive Bayes labels row-major, so no sparse product copies its
+dense operand; the metric's labels come from the same comparison on the
+ranked rows.  Only the other rows are ranked; while those are under half
 the nodes (classification), the last propagation layer or the Naive
 Bayes score runs on them alone.  A block holds as many classes as fit
-one ``n_nodes x block`` float64 matrix in ``_BLOCK_BYTES``.  Its class
-indicator columns are copied row-major, so the boolean seed and the
-Naive Bayes labels are row-major too, and no sparse product copies its
-dense operand.  Units are independent: the harness can run them on a
-thread pool, and results are identical for any worker count and block
-size.  A cell's ``micros`` is its equal share of its block's method
-time.
+one ``n_nodes x block`` float64 matrix in ``_BLOCK_BYTES``.  Units are
+independent: the harness can run them on a thread pool, and results are
+identical for any worker count and block size.  A cell's ``micros`` is
+its equal share of its block's method time.
 
 For ``row`` and ``alpha``, whose layer starts with the gather
 ``B^-1 H^T x``, the seed's first edge averages are counted, not
-gathered.  Once per run the incidences' edge ids are grouped by the
-(class, fold) of their node; a unit counts each of its classes over its
-known folds (every fold but the test fold in classification, the
-training fold in retrieval) with ``bincount``, divides by the edge
-degree and hands the result to :func:`propagate` as ``edge_means=``.
-A unit's counts are its ``n_edges x block`` edge averages, the array
-the gather would make, whatever the class count.  Float64 sums 0/1
-values exactly, so this equals the gather bit for bit.  ``column`` and
-``symmetric`` get the boolean seed as is and gather it.
+gathered.  Once per run the incidences' edge ids are read from ``H``'s
+CSR arrays in (class, fold) order of their nodes; a unit counts each of
+its classes over its known folds (every fold but the test fold in
+classification, the training fold in retrieval) with ``bincount``,
+divides by the edge degree and hands the result to :func:`propagate` as
+``edge_means=``.  A unit's counts are its ``n_edges x block`` edge
+averages, the array the gather would make, whatever the class count.
+Float64 sums 0/1 values exactly, so this equals the gather bit for bit.
+``column`` and ``symmetric`` get the boolean seed as is and gather it.
 """
 
 from __future__ import annotations
@@ -52,7 +55,7 @@ from __future__ import annotations
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
-from functools import partial
+from numbers import Real
 
 import numpy as np
 
@@ -142,15 +145,21 @@ class TaskSpec:
             raise InvalidConfigError(f"task must be one of {TASKS}")
         if self.method not in METHODS:
             raise InvalidConfigError(f"method must be one of {METHODS}")
-        if self.n_folds < 2:
-            raise InvalidConfigError("n_folds must be >= 2")
-        if self.top_k < 1:
-            raise InvalidConfigError("top_k must be >= 1")
+        for name, least in (("n_folds", 2), ("top_k", 1), ("seed", 0)):
+            value = getattr(self, name)
+            if not isinstance(value, (int, np.integer)) or value < least:
+                raise InvalidConfigError(
+                    f"{name} must be an integer >= {least}, got {value!r}")
+            # a numpy scalar would fail only when the report is written
+            object.__setattr__(self, name, int(value))
         # at 0 a node with one edge seen only among positives and another
         # seen only among negatives scores inf - inf = NaN
-        if not np.isfinite(self.smoothing) or self.smoothing <= 0:
+        if (not isinstance(self.smoothing, Real)
+                or not np.isfinite(self.smoothing) or self.smoothing <= 0):
             raise InvalidConfigError(
                 f"smoothing must be finite and > 0, got {self.smoothing}")
+        if isinstance(self.smoothing, np.generic):
+            object.__setattr__(self, "smoothing", self.smoothing.item())
 
     @property
     def metric_name(self) -> str:
@@ -232,19 +241,19 @@ def _cell_rng(seed: int, class_pos: int, fold: int) -> np.random.Generator:
         np.random.SeedSequence(entropy=seed, spawn_key=(class_pos, fold)))
 
 
-def _skip_reasons(class_of, class_sizes, fold_mask, task) -> list:
-    """Per class: why its cell in this fold is skipped, or None.
+def _skip_reasons(sizes, fold, task) -> list:
+    """Per class: why its cell in ``fold`` is skipped, or None.
 
-    ``class_of`` holds each node's class position and ``class_sizes``
-    each class's node count."""
-    fold_pos = np.bincount(class_of[fold_mask], minlength=class_sizes.size)
+    ``sizes[c, f]`` counts the nodes of class position ``c`` in fold
+    ``f``."""
+    in_fold = sizes[:, fold]
     if task.task == "retrieval":
         return [None if any_pos else "training fold contains no positive nodes"
-                for any_pos in fold_pos]
-    test_size = int(fold_mask.sum())
-    train_size = class_of.size - test_size
+                for any_pos in in_fold]
+    test_size = int(in_fold.sum())
+    train_size = int(sizes.sum()) - test_size
     reasons = []
-    for tp, rp in zip(fold_pos, class_sizes - fold_pos):
+    for tp, rp in zip(in_fold, sizes.sum(axis=1) - in_fold):
         if tp in (0, test_size):
             reasons.append("test fold contains a single class")
         elif task.method == "naive-bayes" and rp in (0, train_size):
@@ -254,76 +263,73 @@ def _skip_reasons(class_of, class_sizes, fold_mask, task) -> list:
     return reasons
 
 
-def _seed_edge_means(h, class_of, n_classes, assignment, task):
-    """``(fold, block) -> B^-1 H^T seed`` for the seed of that unit,
-    counted, not gathered.
-
-    The run holds every incidence's edge id, grouped by the (class, fold)
-    of its node, so one class's incidences in a range of folds are one
-    slice.  A unit counts each of its classes over its known folds (one
-    slice in retrieval, the two beside the test fold in classification)
-    into its ``n_edges x block`` result, the array the gather would have
-    made; no count outlives the unit, and none spans another class.
-    """
-    k = assignment.n_folds
-    group = class_of * k + assignment.folds
+def _grouped_edges(h, group, sizes):
+    """Every incidence's edge id, ordered stably by its node's ``group``,
+    and where each group starts; ``sizes`` counts each group's nodes.
+    The ids are read from ``H``'s CSR arrays, without its values."""
     order = np.argsort(group, kind="stable")
-    rows = h.node_edge_matrix[order]
-    bounds = rows.indptr[np.searchsorted(group[order],
-                                         np.arange(n_classes * k + 1))]
-    edges = rows.indices
-    del rows
-
-    def edge_means(fold, block):
-        # the known folds, as ranges of fold ids
-        known = ([(fold, fold + 1)] if task.task == "retrieval"
-                 else [(0, fold), (fold + 1, k)])
-        out = np.empty((h.n_edges, len(block)))
-        for col, class_pos in enumerate(block):
-            first = class_pos * k
-            out[:, col] = sum(
-                np.bincount(edges[bounds[first + a]:bounds[first + b]],
-                            minlength=h.n_edges)
-                for a, b in known)
-        out /= h.edge_degree[:, None]
-        return out
-
-    return edge_means
+    ptr = h.node_edge_matrix.indptr
+    degree = h.node_degree[order]
+    ends = np.cumsum(degree, dtype=ptr.dtype)
+    # an incidence's position in H.indices is its node's start there plus
+    # its offset from its node's start in the grouped order
+    take = np.repeat(ptr[order] - (ends - degree), degree)
+    del order
+    take += np.arange(h.nnz, dtype=take.dtype)
+    firsts = np.concatenate(([0], np.cumsum(sizes)))  # each group's node
+    starts = np.concatenate(([0], ends))[firsts]
+    return h.node_edge_matrix.indices[take], starts
 
 
-def _score_block(h, y, fold_mask, task, rngs, edge_means=None):
-    """The metric per class column of ``y`` for one fold, ranking every
-    row but the known ones: the other folds in classification, the fold
-    itself in retrieval.  ``rngs`` yields one generator per column, drawn
-    from only for retrieval's pseudo-negatives; ``edge_means``, if given,
-    returns the seed's first edge averages for :func:`propagate`."""
-    known = fold_mask if task.task == "retrieval" else ~fold_mask
+def _score_block(h, class_of, folds, fold, block, task, grouped=None):
+    """The metric per class of ``block`` (class positions) in ``fold``,
+    ranking every row but the known ones: the other folds in
+    classification, the fold itself in retrieval.  ``grouped``, if given,
+    is :func:`_grouped_edges`' result for the (class, fold) groups, from
+    which the seed's first edge averages are counted."""
+    k = task.n_folds
+    if task.task == "retrieval":
+        known, spans = folds == fold, [(fold, fold + 1)]
+    else:
+        known, spans = folds != fold, [(0, fold), (fold + 1, k)]
     ranked = np.flatnonzero(~known)
     # a row copy of H pays off for one fold's rows, not for k - 1 folds'
     nodes = ranked if 2 * ranked.size < h.n_nodes else None
-    seed = known[:, None] & y
+    # row-major, so no sparse product copies it
+    seed = np.where(known, class_of, -1)[:, None] == block
     if task.method == "propagation":
         t0 = time.perf_counter()
-        means = None if edge_means is None else edge_means()
+        means = None
+        if grouped is not None:  # each class's count over its known folds
+            edges, starts = grouped
+            means = np.empty((h.n_edges, len(block)))
+            for col, first in enumerate(np.multiply(block, k)):
+                means[:, col] = sum(np.bincount(
+                    edges[starts[first + a]:starts[first + b]],
+                    minlength=h.n_edges) for a, b in spans)
+            means /= h.edge_degree[:, None]
         scores = propagate(h, seed, task.propagation, nodes=nodes,
                            edge_means=means)
         micros = (time.perf_counter() - t0) * 1e6
     else:
+        # on known rows the seed is the class indicator
         if task.task == "classification":
-            train = np.where(known[:, None], y, np.int8(-1))
+            train = np.where(known[:, None], seed, np.int8(-1))
         else:
             train = np.where(seed, np.int8(1), np.int8(-1))
-            for col, rng in enumerate(rngs):
+            for col, class_pos in enumerate(block):
                 pool = np.flatnonzero(~seed[:, col])
+                rng = _cell_rng(task.seed, class_pos, fold)
                 train[rng.choice(pool, size=ranked.size, replace=False), col] = 0
         t0 = time.perf_counter()
         model = fit_naive_bayes(h, train, task.smoothing)
         scores = naive_bayes_log_odds(model, h, nodes)
         micros = (time.perf_counter() - t0) * 1e6
     scores = scores[ranked] if nodes is None else scores
+    y = class_of[ranked][:, None] == block
     if task.task == "classification":
-        return roc_auc(scores, y[ranked]), micros
-    return precision_at_k(scores, y[ranked], task.top_k), micros
+        return roc_auc(scores, y), micros
+    return precision_at_k(scores, y, task.top_k), micros
 
 
 def check_n_jobs(n_jobs: int) -> None:
@@ -339,24 +345,35 @@ def _run(h: Hypergraph, labels, task: TaskSpec, dataset_name, class_names,
     if labels.shape != (h.n_nodes,):
         raise ShapeError(
             f"labels must have shape ({h.n_nodes},), got {labels.shape}")
-    present, class_of, class_sizes = np.unique(
-        labels, return_inverse=True, return_counts=True)
-    y = labels[:, None] == present  # n_nodes x classes, one-vs-rest
-    assignment = assign_folds(h.n_nodes, task.n_folds, task.seed)
-    counted = None  # (fold, block) -> the seed's first edge averages
+    # class ids are reported as ints, so 0.2 and 0.7 would both be class 0
+    if labels.dtype.kind not in "biuf":
+        raise ShapeError(
+            f"labels must be integer class ids, got dtype {labels.dtype}")
+    if labels.dtype.kind == "f":
+        bad = np.flatnonzero(~np.isfinite(labels)
+                             | (labels != np.trunc(labels)))
+        if bad.size:
+            raise ShapeError(f"labels must be integer class ids, got "
+                             f"{float(labels[bad[0]])} at node {bad[0]}")
+    present, class_of = np.unique(labels, return_inverse=True)
+    k = task.n_folds
+    folds = assign_folds(h.n_nodes, k, task.seed).folds
+    # the run's one grouping: nodes by (class, fold)
+    group = class_of * k + folds
+    sizes = np.bincount(group, minlength=present.size * k)
+    grouped = None
     if (task.method == "propagation"
             and task.propagation.variant in _GATHER_FIRST):
-        counted = _seed_edge_means(h, class_of, present.size, assignment,
-                                   task)
+        grouped = _grouped_edges(h, group, sizes)
+    del group
+    sizes = sizes.reshape(present.size, k)
     width = max(1, _BLOCK_BYTES // (8 * h.n_nodes))
 
     outcomes = {}  # (class_pos, fold) -> (value, micros) or skip reason
     units = []
-    for fold in range(task.n_folds):
-        reasons = _skip_reasons(class_of, class_sizes,
-                                assignment.folds == fold, task)
+    for fold in range(k):
         live = []
-        for class_pos, reason in enumerate(reasons):
+        for class_pos, reason in enumerate(_skip_reasons(sizes, fold, task)):
             if reason is None:
                 live.append(class_pos)
             else:
@@ -364,12 +381,7 @@ def _run(h: Hypergraph, labels, task: TaskSpec, dataset_name, class_names,
         units += [(fold, live[i:i + width]) for i in range(0, len(live), width)]
 
     def compute(unit):
-        fold, block = unit
-        rngs = (_cell_rng(task.seed, class_pos, fold) for class_pos in block)
-        means = None if counted is None else partial(counted, fold, block)
-        # row-major, so no sparse product copies its dense operand
-        return _score_block(h, np.ascontiguousarray(y[:, block]),
-                            assignment.folds == fold, task, rngs, means)
+        return _score_block(h, class_of, folds, *unit, task, grouped)
 
     if n_jobs > 1:
         with ThreadPoolExecutor(max_workers=n_jobs) as pool:
@@ -382,7 +394,7 @@ def _run(h: Hypergraph, labels, task: TaskSpec, dataset_name, class_names,
 
     cells, skipped = [], []
     for class_pos, c in enumerate(map(int, present)):
-        for fold in range(task.n_folds):
+        for fold in range(k):
             outcome = outcomes[class_pos, fold]
             if isinstance(outcome, str):
                 skipped.append(SkippedCell(c, fold, outcome))

@@ -46,6 +46,7 @@ gather is skipped.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from numbers import Real
 
 import numpy as np
 
@@ -73,10 +74,14 @@ class PropagationConfig:
                 f"unknown variant {self.variant!r}; expected one of {VARIANTS}")
         if not isinstance(self.layers, (int, np.integer)) or self.layers < 1:
             raise InvalidConfigError("layers must be an integer >= 1")
+        # a numpy scalar would fail only when a report is written
+        object.__setattr__(self, "layers", int(self.layers))
         if self.variant == "alpha":
-            if self.alpha is None or not 0.0 < float(self.alpha) < 1.0:
+            if (not isinstance(self.alpha, Real)
+                    or not 0.0 < float(self.alpha) < 1.0):
                 raise InvalidConfigError(
                     "alpha variant requires alpha in the open interval (0, 1)")
+            object.__setattr__(self, "alpha", float(self.alpha))
         elif self.alpha is not None:
             raise InvalidConfigError(
                 f"alpha is only meaningful for the alpha variant, "
@@ -85,11 +90,16 @@ class PropagationConfig:
 
 def _signal_2d(values, n_rows: int, side: str):
     """``values`` as an array with ``n_rows`` rows, 1-D input as one
-    column, in its own dtype.
+    column, in its own dtype, which must be boolean, integer or real
+    float: a complex signal would lose its imaginary part, and strings
+    would be parsed.
 
     Returns ``(array, was_1d)`` so callers can hand back the caller's ndim.
     """
     arr = np.asarray(values)
+    if arr.dtype.kind not in "biuf":
+        raise ShapeError(f"{side} signal must be boolean, integer or real "
+                         f"float, got dtype {arr.dtype}")
     was_1d = arr.ndim == 1
     if was_1d:
         arr = arr[:, None]

@@ -236,9 +236,13 @@ class TestArgumentErrors:
         (["classify", "--labels", "labels.csv", "--method", "naive-bayes",
           "--layers", "0"],
          "layers must be an integer >= 1"),
+        (["classify", "--labels", "labels.csv", "--seed", "-1"],
+         "seed must be an integer >= 0, got -1"),
+        (["retrieve", "--labels", "labels.csv", "--folds", "1"],
+         "n_folds must be an integer >= 2, got 1"),
     ], ids=["layers", "alpha", "smoothing", "zero-smoothing", "jobs",
             "negative-jobs",
-            "naive-bayes-layers"])
+            "naive-bayes-layers", "negative-seed", "one-fold"])
     def test_bad_flag_fails_before_any_read(self, tmp_path, capsys, argv,
                                             message):
         missing = tmp_path / "missing.csv"

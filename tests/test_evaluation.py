@@ -121,9 +121,46 @@ class TestTaskSpec:
                            match=r"smoothing must be finite and > 0, got 0"):
             TaskSpec(task="classification", method=method, smoothing=0.0)
 
+    @pytest.mark.parametrize("field,value", [
+        ("n_folds", 3.0), ("top_k", 2.5), ("seed", 1.0), ("seed", -1),
+        ("seed", "7"), ("smoothing", "1")])
+    def test_fields_checked_at_construction(self, field, value):
+        # each would otherwise fail later, inside numpy, or not at all
+        with pytest.raises(InvalidConfigError, match=field):
+            TaskSpec(task="retrieval", **{field: value})
+
+    @pytest.mark.parametrize("method", ["propagation", "naive-bayes"])
+    def test_numpy_scalars_reach_the_report_as_numbers(self, method):
+        # json cannot encode a numpy scalar: the report would fail to
+        # write after all the work
+        h, labels = two_cliques()
+        spec = TaskSpec(task="retrieval", method=method, n_folds=np.int64(2),
+                        top_k=np.int32(2), seed=np.uint8(0),
+                        smoothing=np.float32(0.5),
+                        propagation=PropagationConfig(
+                            variant="alpha", layers=np.int64(2),
+                            alpha=np.float32(0.25)))
+        doc = report_to_dict(run_retrieval(h, labels, spec))
+        want = {"folds": 2, "seed": 0, "top_k": 2}
+        want.update({"smoothing": 0.5} if method == "naive-bayes" else
+                    {"variant": "alpha", "layers": 2, "alpha": 0.25})
+        assert doc["params"] == want
+        assert all(type(v) in (int, float, str)
+                   for v in doc["params"].values())
+        canonical_json_bytes(doc)
+
     def test_metric_names(self):
         assert TaskSpec(task="classification").metric_name == "auc"
         assert TaskSpec(task="retrieval", top_k=7).metric_name == "p_at_7"
+
+
+NON_INTEGER_LABELS = [
+    pytest.param([0.2, 0.7, 1.0] * 20, id="fractional"),
+    pytest.param([0.0, np.nan, 1.0] * 20, id="nan"),
+    pytest.param([0.0, np.inf, 1.0] * 20, id="inf"),
+    pytest.param(["a", "b", "c"] * 20, id="str"),
+    pytest.param([0, 1j, 1] * 20, id="complex"),
+]
 
 
 class TestClassification:
@@ -188,8 +225,29 @@ class TestClassification:
             run_classification(h, labels[:-1],
                                TaskSpec(task="classification", n_folds=2))
 
+    @pytest.mark.parametrize("labels", NON_INTEGER_LABELS)
+    def test_non_integer_labels_rejected(self, labels):
+        # class ids are reported as ints: 0.2 and 0.7 would pool as class 0
+        h, _ = build_hypergraph([(i, i % 5) for i in range(len(labels))])
+        with pytest.raises(ShapeError, match="integer class ids"):
+            run_classification(h, labels,
+                               TaskSpec(task="classification", n_folds=2))
+
+    def test_integral_float_and_bool_labels_score_as_ints(self):
+        h, labels = two_cliques()
+        spec = TaskSpec(task="classification", n_folds=5)
+        want = report_to_dict(run_classification(h, labels, spec))
+        for same in (labels.astype(np.float64), labels.astype(bool)):
+            assert report_to_dict(run_classification(h, same, spec)) == want
+
 
 class TestRetrieval:
+    @pytest.mark.parametrize("labels", NON_INTEGER_LABELS)
+    def test_non_integer_labels_rejected(self, labels):
+        h, _ = build_hypergraph([(i, i % 5) for i in range(len(labels))])
+        with pytest.raises(ShapeError, match="integer class ids"):
+            run_retrieval(h, labels, TaskSpec(task="retrieval", n_folds=2))
+
     def test_shared_edge_retrieval_is_perfect(self):
         h, labels = two_cliques()
         spec = TaskSpec(task="retrieval", n_folds=2, top_k=3, seed=42)
@@ -355,6 +413,35 @@ class TestCountedMemory:
             tracemalloc.stop()
         # one class x edge matrix of int64 counts is 6.4 MB here
         assert peak < n_classes * h.n_edges * 8 / 4
+
+
+class TestRunMemory:
+    """A run holds per-node and per-unit arrays, never a label per node
+    and class: its peak grows with the block width, not the class count."""
+
+    @pytest.mark.parametrize("task", ["classification", "retrieval"])
+    @pytest.mark.parametrize("method,variant", [
+        ("propagation", "row"), ("propagation", "symmetric"),
+        ("naive-bayes", "row")])
+    def test_peak_is_a_fraction_of_a_node_by_class_matrix(
+            self, monkeypatch, task, method, variant):
+        h = random_hypergraph(4000, 400, 8000, seed=0)
+        n_classes = 400
+        labels = np.random.default_rng(0).integers(0, n_classes, h.n_nodes)
+        monkeypatch.setattr(evaluation, "_BLOCK_BYTES", 8 * h.n_nodes * 4)
+        spec = TaskSpec(task=task, method=method, n_folds=2, top_k=10,
+                        propagation=PropagationConfig(variant=variant))
+        runner = run_classification if task == "classification" \
+            else run_retrieval
+        runner(h, labels % 2, spec)  # warm-up
+        tracemalloc.start()
+        try:
+            runner(h, labels, spec)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # one n_nodes x n_classes bool matrix is 1.6 MB here
+        assert peak < h.n_nodes * n_classes / 2
 
 
 @st.composite

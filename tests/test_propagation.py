@@ -1,3 +1,4 @@
+import re
 import tracemalloc
 from dataclasses import replace
 
@@ -390,6 +391,26 @@ class TestSignalDtypes:
         with pytest.raises(ValueError):
             propagate(chain, x.astype(np.float32), PropagationConfig())
 
+    @pytest.mark.parametrize("values", [
+        [1 + 1j, 0, 0.5j], ["1", "0", "2"], [b"1", b"0", b"2"],
+        np.array([1, None, 0], dtype=object)],
+        ids=["complex", "str", "bytes", "object"])
+    def test_other_dtypes_rejected(self, chain, values):
+        # complex would drop its imaginary part, strings would be parsed
+        x = np.asarray(values)
+        r = np.resize(x, chain.n_edges)
+        means = edge_average(chain, np.ones(3))
+        for call in (lambda: propagate(chain, x, PropagationConfig()),
+                     lambda: propagate(chain, x, PropagationConfig(),
+                                       edge_means=means),
+                     lambda: propagate(chain, np.ones(3), PropagationConfig(),
+                                       edge_means=r),
+                     lambda: edge_average(chain, x),
+                     lambda: node_average(chain, r)):
+            with pytest.raises(ShapeError,
+                               match=re.escape(f"got dtype {x.dtype}")):
+                call()
+
 
 def composed_layer(h, x, cfg):
     """One layer as the plain per-variant product chain, in the engine's
@@ -501,7 +522,8 @@ class TestMemory:
 
 class TestConfig:
     def test_alpha_required_in_open_interval(self):
-        for bad in (None, 0.0, 1.0, -0.2, 1.5):
+        # a string would be accepted by float() and written to reports
+        for bad in (None, 0.0, 1.0, -0.2, 1.5, float("nan"), "0.5"):
             with pytest.raises(InvalidConfigError):
                 PropagationConfig(variant="alpha", alpha=bad)
         PropagationConfig(variant="alpha", alpha=0.5)
