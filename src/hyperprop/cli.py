@@ -16,6 +16,7 @@ cell was degenerate.
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 
 import numpy as np
@@ -45,8 +46,11 @@ def _add_eval_flags(parser):
                         help="Naive Bayes additive smoothing, > 0")
     parser.add_argument("--folds", type=int, default=10)
     parser.add_argument("--seed", type=int, default=42)
-    parser.add_argument("--jobs", type=int, default=1,
-                        help="max parallel (fold, class block) workers")
+    parser.add_argument(
+        "--jobs", type=int, default=None,
+        help="parallel (fold, class block) workers; they share one block "
+             "memory budget (default: the CPUs this process may run on, "
+             "from its CPU affinity; a cgroup CPU quota is not read)")
     parser.add_argument("--output", default=None)
     parser.add_argument("--format", choices=("json", "csv"), default="json")
 
@@ -104,6 +108,14 @@ def cmd_propagate(args) -> int:
     return 0
 
 
+def _usable_cores() -> int:
+    """The CPUs this process may run on: its affinity set, where the OS has
+    one, else every CPU.  A cgroup CPU quota is not read."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
 def _run_eval(args, task_name: str) -> int:
     spec = TaskSpec(  # bad flags fail before any read
         task=task_name,
@@ -114,12 +126,13 @@ def _run_eval(args, task_name: str) -> int:
         top_k=getattr(args, "top_k", 100),
         seed=args.seed,
     )
-    check_n_jobs(args.jobs)
+    n_jobs = check_n_jobs(
+        _usable_cores() if args.jobs is None else args.jobs)
     bundle = load_dataset(args.incidence, args.labels)
     runner = run_classification if task_name == "classification" else run_retrieval
     report = runner(bundle.hypergraph, bundle.labels, spec,
                     dataset_name=bundle.name, class_names=bundle.class_names,
-                    n_jobs=args.jobs)
+                    n_jobs=n_jobs)
     if args.output:
         write_report(report, args.output, args.format)
     mean = report.mean()

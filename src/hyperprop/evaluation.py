@@ -31,11 +31,13 @@ or the Naive Bayes labels row-major, so no sparse product copies its
 dense operand; the metric's labels come from the same comparison on the
 ranked rows.  Only the other rows are ranked; while those are under half
 the nodes (classification), the last propagation layer or the Naive
-Bayes score runs on them alone.  A block holds as many classes as fit
-one ``n_nodes x block`` float64 matrix in ``_BLOCK_BYTES``.  Units are
-independent: the harness can run them on a thread pool, and results are
-identical for any worker count and block size.  A cell's ``micros`` is
-its equal share of its block's method time.
+Bayes score runs on them alone, whatever the block width.  Units are
+independent: the harness can run them on ``n_jobs`` threads, and
+results are identical for any worker count and block size.  The workers
+share one memory budget, ``_BLOCK_BYTES``: a block holds as many classes
+as fit one ``n_nodes x block`` float64 matrix per worker in it, so
+``n_jobs`` units in flight hold about what one unit held alone.  A
+cell's ``micros`` is its equal share of its block's method time.
 
 For ``row`` and ``alpha``, whose layer starts with the gather
 ``B^-1 H^T x``, the seed's first edge averages are counted, not
@@ -52,6 +54,7 @@ Float64 sums 0/1 values exactly, so this equals the gather bit for bit.
 
 from __future__ import annotations
 
+import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
@@ -68,13 +71,16 @@ from .propagation import _GATHER_FIRST, PropagationConfig, propagate
 TASKS = ("classification", "retrieval")
 METHODS = ("propagation", "naive-bayes")
 
-# cap on one n_nodes x block float64 signal matrix.  scipy's sparse
+# cap on the n_nodes x block float64 signal matrices of all units in
+# flight: each of n_jobs workers gets an equal share.  scipy's sparse
 # products cost less per nonzero and column the wider the block: on a
 # 16k-node graph (2 vCPUs, 2 MiB L2) classification ran 0.39 s at 1 MiB
-# (8 columns), 0.31 s at 2 MiB and 0.28 s at 3 MiB (24 columns).  At 3 MiB
-# the harness allocates at most 5.2 MiB there, under the 12.7 MiB that
-# loading the graph peaks at, and the process's peak RSS held at 70 MB
-# up to 5 MiB; wider blocks save less and hold more.
+# (8 columns), 0.31 s at 2 MiB and 0.28 s at 3 MiB (24 columns), one
+# worker.  At 3 MiB the harness allocates at most 5.2 MiB there, under the
+# 12.7 MiB that loading the graph peaks at, and the process's peak RSS held
+# at 70 MB up to 5 MiB; wider blocks save less and hold more.  Two workers
+# with a full 3 MiB each raised Naive Bayes retrieval's peak RSS by about
+# 7 MB (12.5k nodes); sharing the budget kept that to about 2 MB.
 _BLOCK_BYTES = 3 * 2**20
 
 
@@ -293,7 +299,9 @@ def _score_block(h, class_of, folds, fold, block, task, grouped=None):
     else:
         known, spans = folds != fold, [(0, fold), (fold + 1, k)]
     ranked = np.flatnonzero(~known)
-    # a row copy of H pays off for one fold's rows, not for k - 1 folds'
+    # a row copy of H pays off for one fold's rows, not for k - 1 folds'; at
+    # width 1 too: on a 128k-node graph, 1-layer row and symmetric runs and
+    # Naive Bayes runs were 10-20% faster with it than scoring every row
     nodes = ranked if 2 * ranked.size < h.n_nodes else None
     # row-major, so no sparse product copies it
     seed = np.where(known, class_of, -1)[:, None] == block
@@ -332,15 +340,24 @@ def _score_block(h, class_of, folds, fold, block, task, grouped=None):
     return precision_at_k(scores, y, task.top_k), micros
 
 
-def check_n_jobs(n_jobs: int) -> None:
-    """Raise :class:`InvalidConfigError` unless ``n_jobs >= 1``."""
+def check_n_jobs(n_jobs) -> int:
+    """``n_jobs`` as an ``int``.
+
+    Raises
+    ------
+    InvalidConfigError
+        Unless ``n_jobs`` is an integer (a bool is not) and ``>= 1``.
+    """
+    if isinstance(n_jobs, bool) or not isinstance(n_jobs, (int, np.integer)):
+        raise InvalidConfigError(f"n_jobs must be an integer, got {n_jobs!r}")
     if n_jobs < 1:
         raise InvalidConfigError(f"n_jobs must be >= 1, got {n_jobs}")
+    return int(n_jobs)
 
 
 def _run(h: Hypergraph, labels, task: TaskSpec, dataset_name, class_names,
          n_jobs) -> MetricReport:
-    check_n_jobs(n_jobs)
+    n_jobs = check_n_jobs(n_jobs)
     labels = np.asarray(labels)
     if labels.shape != (h.n_nodes,):
         raise ShapeError(
@@ -367,7 +384,7 @@ def _run(h: Hypergraph, labels, task: TaskSpec, dataset_name, class_names,
         grouped = _grouped_edges(h, group, sizes)
     del group
     sizes = sizes.reshape(present.size, k)
-    width = max(1, _BLOCK_BYTES // (8 * h.n_nodes))
+    width = max(1, _BLOCK_BYTES // (8 * h.n_nodes * n_jobs))
 
     outcomes = {}  # (class_pos, fold) -> (value, micros) or skip reason
     units = []
@@ -380,14 +397,29 @@ def _run(h: Hypergraph, labels, task: TaskSpec, dataset_name, class_names,
                 outcomes[class_pos, fold] = reason
         units += [(fold, live[i:i + width]) for i in range(0, len(live), width)]
 
-    def compute(unit):
-        return _score_block(h, class_of, folds, *unit, task, grouped)
+    results = [None] * len(units)
+    todo = iter(range(len(units)))
+    lock = threading.Lock()
 
-    if n_jobs > 1:
-        with ThreadPoolExecutor(max_workers=n_jobs) as pool:
-            results = list(pool.map(compute, units))
-    else:
-        results = [compute(u) for u in units]
+    def work():  # score the next unit until none is left
+        while True:
+            with lock:
+                i = next(todo, None)
+            if i is None:
+                return
+            results[i] = _score_block(h, class_of, folds, *units[i], task,
+                                      grouped)
+
+    # one task per helper, not a future per unit, whose count grows with the
+    # classes; the calling thread is a worker too, which kept Naive Bayes
+    # retrieval's peak RSS 2 MB lower than two pool threads did.  One worker
+    # submits nothing, so the pool starts no thread.
+    helpers = min(n_jobs, len(units)) - 1
+    with ThreadPoolExecutor(max_workers=max(1, helpers)) as pool:
+        futures = [pool.submit(work) for _ in range(helpers)]
+        work()
+        for future in futures:
+            future.result()
     for (fold, block), (values, micros) in zip(units, results):
         for class_pos, value in zip(block, values):
             outcomes[class_pos, fold] = (float(value), micros / len(block))
@@ -424,7 +456,7 @@ def run_classification(h: Hypergraph, labels, task: TaskSpec, *,
     positives with 1; training negatives and hidden test nodes are both 0.
     Cells whose ROC-AUC is undefined are recorded under ``skipped`` rather
     than dropped silently.  ``n_jobs`` (>= 1) threads share the
-    (fold, class block) units.
+    (fold, class block) units and the block memory budget.
     """
     if task.task != "classification":
         raise InvalidConfigError("TaskSpec.task must be 'classification'")
@@ -436,7 +468,8 @@ def run_retrieval(h: Hypergraph, labels, task: TaskSpec, *,
                   n_jobs: int = 1) -> MetricReport:
     """Run the positive-only retrieval protocol scored by precision@k.
 
-    ``n_jobs`` (>= 1) threads share the (fold, class block) units.
+    ``n_jobs`` (>= 1) threads share the (fold, class block) units and the
+    block memory budget.
     """
     if task.task != "retrieval":
         raise InvalidConfigError("TaskSpec.task must be 'retrieval'")

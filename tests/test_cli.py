@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from hyperprop import cli, evaluation
 from hyperprop.cli import main
 from hyperprop.io import load_signal
 
@@ -188,6 +189,63 @@ class TestClassify:
                          "--output", str(path)]) == 0
             outs.append(path.read_bytes())
         assert outs[0] == outs[1]
+
+
+class TestJobsDefault:
+    """Without ``--jobs``, ``classify`` and ``retrieve`` run one worker per
+    CPU the process may run on."""
+
+    @pytest.fixture
+    def three_cores(self, monkeypatch):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2},
+                            raising=False)
+
+    @pytest.fixture
+    def jobs_used(self, monkeypatch):
+        seen = []
+        for name in ("run_classification", "run_retrieval"):
+            def spy(*args, runner=getattr(cli, name), **kwargs):
+                seen.append(kwargs["n_jobs"])
+                return runner(*args, **kwargs)
+            monkeypatch.setattr(cli, name, spy)
+        return seen
+
+    @pytest.mark.parametrize("command", ["classify", "retrieve"])
+    def test_default_writes_the_bytes_of_one_job(
+            self, cliques, tmp_path, monkeypatch, three_cores, jobs_used,
+            command):
+        incidence, labels = cliques
+        # one worker gets blocks of 2 columns, each of three 1 column
+        monkeypatch.setattr(evaluation, "_BLOCK_BYTES", 8 * 20 * 2)
+        outs = []
+        for jobs in ([], ["--jobs", "1"]):
+            path = tmp_path / f"report{len(jobs)}.json"
+            assert main([command, "--incidence", str(incidence),
+                         "--labels", str(labels), "--folds", "2",
+                         "--output", str(path), *jobs]) == 0
+            outs.append(path.read_bytes())
+        assert jobs_used == [3, 1]
+        assert outs[0] == outs[1]
+
+    @pytest.mark.parametrize("command", ["classify", "retrieve"])
+    def test_default_is_the_affinity_set(self, cliques, three_cores,
+                                         jobs_used, command):
+        incidence, labels = cliques
+        assert main([command, "--incidence", str(incidence),
+                     "--labels", str(labels)]) == 0
+        assert main([command, "--incidence", str(incidence),
+                     "--labels", str(labels), "--jobs", "2"]) == 0
+        assert jobs_used == [3, 2]
+
+    @pytest.mark.parametrize("count,jobs", [(3, 3), (None, 1)])
+    def test_without_affinity_every_cpu(self, cliques, monkeypatch,
+                                        jobs_used, count, jobs):
+        monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+        monkeypatch.setattr(os, "cpu_count", lambda: count)
+        incidence, labels = cliques
+        assert main(["classify", "--incidence", str(incidence),
+                     "--labels", str(labels)]) == 0
+        assert jobs_used == [jobs]
 
 
 class TestRetrieve:

@@ -1,3 +1,4 @@
+import sys
 import tracemalloc
 
 import numpy as np
@@ -219,6 +220,27 @@ class TestClassification:
             run_retrieval(h, labels, TaskSpec(task="retrieval", n_folds=2),
                           n_jobs=jobs)
 
+    @pytest.mark.parametrize("jobs", [2.5, 2.0, True, "2", None,
+                                      np.float64(2), np.bool_(True)])
+    def test_non_integer_jobs_rejected(self, jobs):
+        # 2.5 would otherwise start 3 threads and cut blocks at a float
+        h, labels = two_cliques(4)
+        with pytest.raises(InvalidConfigError, match="n_jobs must be an int"):
+            run_classification(h, labels, TaskSpec(task="classification",
+                                                   n_folds=2), n_jobs=jobs)
+        with pytest.raises(InvalidConfigError, match="n_jobs must be an int"):
+            run_retrieval(h, labels, TaskSpec(task="retrieval", n_folds=2),
+                          n_jobs=jobs)
+
+    def test_numpy_integer_jobs_stored_as_int(self):
+        jobs = evaluation.check_n_jobs(np.int64(2))
+        assert jobs == 2 and type(jobs) is int
+        h, labels = two_cliques(4)
+        spec = TaskSpec(task="classification", n_folds=2)
+        assert canonical_json_bytes(report_to_dict(run_classification(
+            h, labels, spec, n_jobs=np.int32(2)))) == canonical_json_bytes(
+                report_to_dict(run_classification(h, labels, spec)))
+
     def test_label_shape_checked(self):
         h, labels = two_cliques(4)
         with pytest.raises(ShapeError):
@@ -293,6 +315,36 @@ class TestDeterminism:
                 ]
                 assert docs[0] == docs[1]
 
+    def test_workers_score_each_unit_once_under_frequent_switches(
+            self, monkeypatch):
+        # more workers than cores take one-column units from one queue: a
+        # unit taken twice or never, or a result stored in another unit's
+        # slot, shows in the calls or the report bytes
+        h, labels = multiclass_instance()
+        monkeypatch.setattr(evaluation, "_BLOCK_BYTES", 8 * h.n_nodes)
+        spec = TaskSpec(task="retrieval", method="naive-bayes", n_folds=5,
+                        top_k=12, seed=4)
+        want = canonical_json_bytes(report_to_dict(
+            run_retrieval(h, labels, spec)))
+        calls = []
+        original = evaluation._score_block
+
+        def spy(h, class_of, folds, fold, block, *args):
+            calls.append((fold, tuple(block)))
+            return original(h, class_of, folds, fold, block, *args)
+
+        monkeypatch.setattr(evaluation, "_score_block", spy)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for _ in range(5):
+                calls.clear()
+                got = run_retrieval(h, labels, spec, n_jobs=8)
+                assert len(calls) == len(set(calls)) == len(got.cells)
+                assert canonical_json_bytes(report_to_dict(got)) == want
+        finally:
+            sys.setswitchinterval(interval)
+
 
 def multiclass_instance():
     """Seeded graph with sparse class ids, a singleton and a rare class.
@@ -335,7 +387,9 @@ class TestBatchedHarness:
                                               variant, width, n_jobs):
         h, labels = multiclass_instance()
         columns = width or np.unique(labels).size  # None: one block per fold
-        monkeypatch.setattr(evaluation, "_BLOCK_BYTES", 8 * h.n_nodes * columns)
+        # the budget is shared by the workers: each gets ``columns``
+        monkeypatch.setattr(evaluation, "_BLOCK_BYTES",
+                            8 * h.n_nodes * columns * n_jobs)
         spec = TaskSpec(task=task, method=method, n_folds=5, top_k=12, seed=4,
                         smoothing=0.5, propagation=PropagationConfig(
                             variant=variant, layers=2,
@@ -386,6 +440,23 @@ class TestBlockLayout:
                                    top_k=12, seed=4))
         assert any(shape[1] > 1 for shape in shapes)
 
+    @pytest.mark.parametrize("n_jobs,width", [(1, 4), (2, 2), (3, 1), (8, 1)])
+    def test_workers_share_the_block_budget(self, monkeypatch, n_jobs, width):
+        # every fold ranks at least the 4 common classes in one budget of 4
+        h, labels = multiclass_instance()
+        monkeypatch.setattr(evaluation, "_BLOCK_BYTES", 8 * h.n_nodes * 4)
+        widths = []
+        original = evaluation.propagate
+
+        def spy(h, x, *args, **kwargs):
+            widths.append(x.shape[1])
+            return original(h, x, *args, **kwargs)
+
+        monkeypatch.setattr(evaluation, "propagate", spy)
+        run_retrieval(h, labels, TaskSpec(task="retrieval", n_folds=5,
+                                          top_k=12, seed=4), n_jobs=n_jobs)
+        assert max(widths) == width
+
 
 class TestCountedMemory:
     """The counted first edge averages of ``row`` and ``alpha`` cost each
@@ -419,12 +490,13 @@ class TestRunMemory:
     """A run holds per-node and per-unit arrays, never a label per node
     and class: its peak grows with the block width, not the class count."""
 
+    @pytest.mark.parametrize("n_jobs", [1, 2])
     @pytest.mark.parametrize("task", ["classification", "retrieval"])
     @pytest.mark.parametrize("method,variant", [
         ("propagation", "row"), ("propagation", "symmetric"),
         ("naive-bayes", "row")])
     def test_peak_is_a_fraction_of_a_node_by_class_matrix(
-            self, monkeypatch, task, method, variant):
+            self, monkeypatch, task, method, variant, n_jobs):
         h = random_hypergraph(4000, 400, 8000, seed=0)
         n_classes = 400
         labels = np.random.default_rng(0).integers(0, n_classes, h.n_nodes)
@@ -433,14 +505,15 @@ class TestRunMemory:
                         propagation=PropagationConfig(variant=variant))
         runner = run_classification if task == "classification" \
             else run_retrieval
-        runner(h, labels % 2, spec)  # warm-up
+        runner(h, labels % 2, spec, n_jobs=n_jobs)  # warm-up
         tracemalloc.start()
         try:
-            runner(h, labels, spec)
+            runner(h, labels, spec, n_jobs=n_jobs)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        # one n_nodes x n_classes bool matrix is 1.6 MB here
+        # one n_nodes x n_classes bool matrix is 1.6 MB here; the workers
+        # share the block budget, so two hold no more than one
         assert peak < h.n_nodes * n_classes / 2
 
 
@@ -488,7 +561,8 @@ class TestDifferentialHarness:
         runner = run_classification if spec.task == "classification" \
             else run_retrieval
         with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(evaluation, "_BLOCK_BYTES", 8 * h.n_nodes * width)
+            mp.setattr(evaluation, "_BLOCK_BYTES",
+                       8 * h.n_nodes * width * n_jobs)
             got = runner(h, labels, spec, n_jobs=n_jobs)
         want = oracles.per_cell_report(h, labels, spec, n_jobs=n_jobs)
         assert canonical_json_bytes(report_to_dict(got)) == \
