@@ -49,8 +49,9 @@ def _add_eval_flags(parser):
     parser.add_argument(
         "--jobs", type=int, default=None,
         help="parallel (fold, class block) workers; they share one block "
-             "memory budget (default: the CPUs this process may run on, "
-             "from its CPU affinity; a cgroup CPU quota is not read)")
+             "memory budget, down to one column each (default: the CPUs "
+             "this process may run on, from its CPU affinity; a cgroup CPU "
+             "quota is not read)")
     parser.add_argument("--output", default=None)
     parser.add_argument("--format", choices=("json", "csv"), default="json")
 

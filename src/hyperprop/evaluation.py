@@ -35,9 +35,14 @@ Bayes score runs on them alone, whatever the block width.  Units are
 independent: the harness can run them on ``n_jobs`` threads, and
 results are identical for any worker count and block size.  The workers
 share one memory budget, ``_BLOCK_BYTES``: a block holds as many classes
-as fit one ``n_nodes x block`` float64 matrix per worker in it, so
-``n_jobs`` units in flight hold about what one unit held alone.  A
-cell's ``micros`` is its equal share of its block's method time.
+as fit one ``n_nodes x block`` float64 matrix per worker in it, so while
+``8 * n_nodes * n_jobs`` fits the budget, ``n_jobs`` units in flight
+hold about what one unit held alone.  A block is never narrower than one
+column, so past that point (4 workers at 128k nodes, 2 from about 197k)
+each worker holds a one-column unit of its own: the units in flight hold
+``n_jobs * n_nodes * 8`` bytes per layer matrix, which grows with the
+worker count.  A cell's ``micros`` is its equal share of its block's
+method time.
 
 For ``row`` and ``alpha``, whose layer starts with the gather
 ``B^-1 H^T x``, the seed's first edge averages are counted, not
@@ -71,16 +76,18 @@ from .propagation import _GATHER_FIRST, PropagationConfig, propagate
 TASKS = ("classification", "retrieval")
 METHODS = ("propagation", "naive-bayes")
 
-# cap on the n_nodes x block float64 signal matrices of all units in
-# flight: each of n_jobs workers gets an equal share.  scipy's sparse
-# products cost less per nonzero and column the wider the block: on a
-# 16k-node graph (2 vCPUs, 2 MiB L2) classification ran 0.39 s at 1 MiB
-# (8 columns), 0.31 s at 2 MiB and 0.28 s at 3 MiB (24 columns), one
-# worker.  At 3 MiB the harness allocates at most 5.2 MiB there, under the
-# 12.7 MiB that loading the graph peaks at, and the process's peak RSS held
-# at 70 MB up to 5 MiB; wider blocks save less and hold more.  Two workers
-# with a full 3 MiB each raised Naive Bayes retrieval's peak RSS by about
-# 7 MB (12.5k nodes); sharing the budget kept that to about 2 MB.
+# cap on the n_nodes x block float64 signal matrices of all units in flight:
+# each of n_jobs workers gets an equal share, but at least one column, so the
+# cap holds only while 8 * n_nodes * n_jobs fits it; past that, n_jobs
+# one-column units hold n_jobs * n_nodes * 8 bytes per layer matrix.  scipy's
+# sparse products cost less per nonzero and column the wider the block: on a
+# 16k-node graph (2 vCPUs, 2 MiB L2) classification ran 0.39 s at 1 MiB (8
+# columns), 0.31 s at 2 MiB and 0.28 s at 3 MiB (24 columns), one worker.  At
+# 3 MiB the harness allocates at most 5.2 MiB there, under the 12.7 MiB that
+# loading the graph peaks at, and the process's peak RSS held at 70 MB up to
+# 5 MiB; wider blocks save less and hold more.  Two workers with a full 3 MiB
+# each raised Naive Bayes retrieval's peak RSS by about 7 MB (12.5k nodes);
+# sharing the budget kept that to about 2 MB.
 _BLOCK_BYTES = 3 * 2**20
 
 
@@ -456,7 +463,8 @@ def run_classification(h: Hypergraph, labels, task: TaskSpec, *,
     positives with 1; training negatives and hidden test nodes are both 0.
     Cells whose ROC-AUC is undefined are recorded under ``skipped`` rather
     than dropped silently.  ``n_jobs`` (>= 1) threads share the
-    (fold, class block) units and the block memory budget.
+    (fold, class block) units and the block memory budget, down to one
+    column per thread.
     """
     if task.task != "classification":
         raise InvalidConfigError("TaskSpec.task must be 'classification'")
@@ -469,7 +477,7 @@ def run_retrieval(h: Hypergraph, labels, task: TaskSpec, *,
     """Run the positive-only retrieval protocol scored by precision@k.
 
     ``n_jobs`` (>= 1) threads share the (fold, class block) units and the
-    block memory budget.
+    block memory budget, down to one column per thread.
     """
     if task.task != "retrieval":
         raise InvalidConfigError("TaskSpec.task must be 'retrieval'")

@@ -516,6 +516,40 @@ class TestRunMemory:
         # share the block budget, so two hold no more than one
         assert peak < h.n_nodes * n_classes / 2
 
+    @pytest.mark.parametrize("task,method", [
+        ("classification", "propagation"), ("retrieval", "naive-bayes")])
+    def test_each_worker_holds_one_column_once_the_share_is_below_one(
+            self, monkeypatch, task, method):
+        # the budget fits 4 columns, so 8 workers round the width up to 1:
+        # past that the budget no longer bounds them, and each worker adds
+        # one one-column unit, which peaks under 5 float64 columns
+        h = random_hypergraph(4000, 400, 8000, seed=0)
+        labels = np.random.default_rng(0).integers(0, 400, h.n_nodes)
+        spec = TaskSpec(task=task, method=method, n_folds=2, top_k=10)
+        runner = run_classification if task == "classification" \
+            else run_retrieval
+        widths = set()
+        original = evaluation._score_block
+
+        def spy(h, class_of, folds, fold, block, *args):
+            widths.add(len(block))
+            return original(h, class_of, folds, fold, block, *args)
+
+        monkeypatch.setattr(evaluation, "_score_block", spy)
+        peaks = {}
+        for n_jobs, columns in ((1, 1), (8, 4)):
+            monkeypatch.setattr(evaluation, "_BLOCK_BYTES",
+                                8 * h.n_nodes * columns)
+            runner(h, labels % 2, spec, n_jobs=n_jobs)  # warm-up
+            tracemalloc.start()
+            try:
+                runner(h, labels, spec, n_jobs=n_jobs)
+                peaks[n_jobs] = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+        assert widths == {1}
+        assert peaks[8] - peaks[1] < (8 - 1) * 5 * 8 * h.n_nodes
+
 
 @st.composite
 def harness_cases(draw):
