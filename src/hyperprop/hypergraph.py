@@ -42,9 +42,10 @@ class IdMap:
     __slots__ = ("_index", "_ids")
 
     def __init__(self, ids: Iterable[Hashable]):
-        self._ids: tuple = tuple(dict.fromkeys(ids))
-        self._index: dict[Hashable, int] = dict(
-            zip(self._ids, range(len(self._ids))))
+        index: dict[Hashable, int] = dict.fromkeys(ids)
+        self._ids: tuple = tuple(index)
+        index.update(zip(self._ids, range(len(self._ids))))  # no new keys
+        self._index = index
 
     def lookup(self, keys: Iterable[Hashable]) -> np.ndarray:
         """Dense index of each of ``keys``, -1 for a key not in the map."""

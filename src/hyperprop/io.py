@@ -9,8 +9,9 @@ column is interned by :func:`_intern_column`, which decides once: a column
 whose ids are all under 8 bytes and unpadded never becomes one Python
 object per row, as equal ids are grouped by sorting one exact 64-bit key
 per field and each distinct id is decoded once; any other id column is
-decoded, stripped by ``str.strip`` and grouped by a dict.  Memory grows
-with the bytes read.
+decoded, stripped by ``str.strip`` and grouped by a dict.  While a file
+is read, the reader holds one padded copy of its bytes plus two offsets
+per field, int32 while the copy is under 2 GiB and int64 above.
 Metric reports serialize to a canonical JSON document (stable key order,
 lossless floats) or to CSV with the fixed column order
 ``class,fold,metric,value,micros``.
@@ -22,6 +23,7 @@ import codecs
 import csv
 import io
 import json
+import os
 import re
 from dataclasses import dataclass
 from itertools import chain, count
@@ -69,58 +71,60 @@ class DatasetBundle:
 class _Table:
     """A delimited file parsed in one pass into byte ranges.
 
-    The file is read once as bytes, checked to be UTF-8 (a leading BOM is
-    dropped) and its delimiter detected from the header line: tab if
-    present, otherwise comma.  Data lines are tokenized all at once into
-    the byte range of every field: by delimiter and line-end positions
-    when the data contain no ``"`` and by :mod:`csv` otherwise, whose
-    fields are joined into a new buffer.  Both give the same fields, line
-    numbers and field size limit, so the tokenizer never changes which
-    files load.  Blank lines are skipped.
+    The file is read once into one buffer with :data:`_PAD` zero bytes at
+    its end, checked to be UTF-8 (a leading BOM is skipped) and its
+    delimiter detected from the header line: tab if present, otherwise
+    comma.  Data lines are tokenized all at once into the byte range of
+    every field, offsets into that buffer: by delimiter and line-end
+    positions when the data contain no ``"`` and by :mod:`csv` otherwise,
+    whose fields are joined into a new buffer.  Both give the same fields,
+    line numbers and field size limit, so the tokenizer never changes
+    which files load.  Blank lines are skipped.  The offsets are int32
+    while the buffer is under 2 GiB, int64 beyond.
 
-    The table holds the ``rows`` data rows before the first bad one, and
-    ``lines[i]`` is the line number of row ``i``.  A check that finds a bad
-    row calls :meth:`reject`, which keeps the earliest one, and :meth:`done`
-    raises its error: a file fails at its first bad row, as a row-by-row
-    reader would, whatever order the checks run in.  Of two checks that
-    fail the same row, the first to run wins.
+    The table holds the ``rows`` data rows before the first bad one.  A
+    check that finds a bad row calls :meth:`reject`, which keeps the
+    earliest one, and :meth:`done` raises its error: a file fails at its
+    first bad row, as a row-by-row reader would, whatever order the checks
+    run in.  Of two checks that fail the same row, the first to run wins.
+    A row's line number is worked out only for its error, from the
+    positions of the blank lines.
     """
 
     def __init__(self, path):
         self.path = path
-        raw = Path(path).read_bytes()
-        if raw.startswith(codecs.BOM_UTF8):
-            raw = raw[len(codecs.BOM_UTF8):]
-        _check_utf8(path, raw)
-        if not raw:
+        buf, size = _read_padded(path)
+        begin = len(codecs.BOM_UTF8) if buf.startswith(codecs.BOM_UTF8) else 0
+        _check_utf8(path, buf, begin, size)
+        if size == begin:
             raise ParseError(f"{path}: file is empty")
-        match = _LINE_END.search(raw)
-        cut = match.end() if match else len(raw)
-        line = raw[:cut].decode("utf-8")
+        match = _LINE_END.search(buf, begin, size)
+        cut = match.end() if match else size
+        line = buf[begin:cut].decode("utf-8")
         delim = "\t" if "\t" in line else ","
         try:
             header = next(csv.reader([line], delimiter=delim))
         except csv.Error as exc:
             raise ParseError(f"{path}: line 1: {exc}") from exc
         self.header = [c.strip() for c in header]
-        data = raw[cut:]
-        del raw
-        tokenize = _csv_tokens if b'"' in data else _split_tokens
-        data, starts, ends, counts, blank, stop, error = tokenize(data, delim)
+        quoted = buf.find(b'"', cut, size) >= 0
+        tokenize = _csv_tokens if quoted else _split_tokens
+        (self._buf, self._starts, self._ends, line_end, blank_lines, stop,
+         error) = tokenize(buf, cut, size, delim)
+        del buf
+        # each blank line's count of data rows before it
+        self._skips = blank_lines - np.arange(blank_lines.size)
         k = len(self.header)
-        ragged = np.flatnonzero(~blank[:stop] & (counts[:stop] != k))
-        if ragged.size:
-            stop = int(ragged[0])
-            error = f"expected {k} fields, got {counts[stop]}"
+        rows, last = _whole_rows(line_end, k)
+        if error is not None and stop <= last:  # the read stopped first
+            rows = rows if stop >= rows * k else stop // k
+        elif last < line_end.size:
+            error = f"expected {k} fields, got {last - rows * k + 1}"
+        # rows before ``self.rows`` are well-formed, so the first
+        # ``rows * k`` fields are theirs, row after row
+        self.rows = rows
         self.error = None if error is None else ParseError(
-            f"{path}: line {stop + 2}: {error}")  # the header is line 1
-        self.lines = np.flatnonzero(~blank[:stop]) + 2
-        self.rows = self.lines.size
-        # rows before ``stop`` are well-formed, so the first ``rows * k``
-        # fields are theirs, row after row
-        self._raw = data + bytes(_PAD)
-        self._buf = np.frombuffer(self._raw, dtype=np.uint8)
-        self._starts, self._ends = starts, ends
+            f"{path}: line {self._line(rows)}: {error}")
 
     def indexes(self, names):
         """Column index of each of ``names``."""
@@ -136,9 +140,13 @@ class _Table:
         cut = slice(i, self.rows * len(self.header), len(self.header))
         return self._starts[cut], self._ends[cut]
 
+    def _line(self, row):
+        """The line number of data row ``row``; the header is line 1."""
+        return row + int(np.searchsorted(self._skips, row, side="right")) + 2
+
     def column(self, i):
         """The raw fields of column ``i``, one str per row."""
-        return _decode(self._raw, self._buf, *self._fields(i))
+        return _decode(self._buf, *self._fields(i))
 
     def ids(self, i):
         """Column ``i``'s identifiers, whitespace-stripped and interned.
@@ -146,8 +154,7 @@ class _Table:
         Returns the distinct ids in first-appearance order and each row's
         index into them, and rejects the first row with an empty id.
         """
-        ids, index, empty = _intern_column(self._raw, self._buf,
-                                           *self._fields(i))
+        ids, index, empty = _intern_column(self._buf, *self._fields(i))
         self.reject(empty, "empty identifier")
         return ids, index
 
@@ -159,7 +166,7 @@ class _Table:
         if row < self.rows:
             self.rows = row
             self.error = ParseError(
-                f"{self.path}: line {self.lines[row]}: {message}")
+                f"{self.path}: line {self._line(row)}: {message}")
 
     def done(self):
         """Raise the error of the first bad row, if any."""
@@ -167,101 +174,170 @@ class _Table:
             raise self.error
 
 
-def _check_utf8(path, raw):
-    if raw.isascii():
+def _read_padded(path):
+    """The bytes of ``path`` and :data:`_PAD` zero bytes, in one buffer.
+
+    Returns the buffer and the file's size.
+    """
+    with open(path, "rb") as fh:
+        buf = bytearray(os.fstat(fh.fileno()).st_size + _PAD)
+        size = fh.readinto(buf)
+        if size == len(buf):  # the file grew, or does not report its size
+            buf += fh.read()
+            size = len(buf)
+            buf += bytes(_PAD)
+        else:
+            del buf[size + _PAD:]
+    return buf, size
+
+
+def _check_utf8(path, buf, begin, end):
+    if buf.isascii():
         return
     try:
-        raw.decode("utf-8")
+        str(memoryview(buf)[begin:end], "utf-8")
     except UnicodeDecodeError as exc:
-        head = raw[:exc.start]
-        line = (head.count(b"\n") + head.count(b"\r")
-                - head.count(b"\r\n") + 1)
+        at = begin + exc.start
+        line = (buf.count(b"\n", begin, at) + buf.count(b"\r", begin, at)
+                - buf.count(b"\r\n", begin, at) + 1)
         raise ParseError(
             f"{path}: line {line}: invalid UTF-8: {exc.reason}") from exc
 
 
-def _split_tokens(data, delim):
-    """Tokenize quote-free data lines at delimiter and line-end bytes.
+def _offset_type(size):
+    """The dtype of offsets into a buffer of ``size`` bytes."""
+    return np.int32 if size < 2**31 else np.int64
 
-    Line ends are ``\\r\\n``, ``\\r`` and ``\\n``, as for :mod:`csv`; each is
-    first rewritten as one ``\\n``, which keeps every line number.  In UTF-8
-    the delimiter and ``\\n`` are single bytes that no other character
-    contains.  Returns the buffer tokenized (``data`` so rewritten), each
-    token's byte range (blank lines yield none), the tokens per line, which
-    lines are blank, the number of lines read and the error that stopped
-    the read.
+
+def _split_tokens(buf, begin, end, delim):
+    """Tokenize the quote-free data lines ``buf[begin:end]``.
+
+    Tokens end at delimiter and line-end bytes.  Line ends are ``\\r\\n``,
+    ``\\r`` and ``\\n``, as for :mod:`csv`; in UTF-8 the delimiter, ``\\r``
+    and ``\\n`` are single bytes that no other character contains.
+    Returns the buffer as a uint8 array, each token's byte range in it
+    (blank lines yield none), whether each token ends its line, the index
+    of each blank line among all data lines, the first token not read and
+    the error that stopped the read.
     """
-    if b"\r" in data:
-        data = data.replace(b"\r\n", b"\n").replace(b"\r", b"\n")
-    raw = np.frombuffer(data, dtype=np.uint8)
-    sep = raw == ord(delim)
-    sep |= raw == ord("\n")
-    ends = np.append(np.flatnonzero(sep), raw.size)
+    arr = np.frombuffer(buf, dtype=np.uint8)
+    data = arr[begin:end]
+    sep = data == ord(delim)
+    sep |= data == ord("\n")
+    has_cr = buf.find(b"\r", begin, end) >= 0
+    if has_cr:
+        cr = data == ord("\r")
+        sep[1:] &= ~(cr[:-1] & (data[1:] == ord("\n")))  # \n of a \r\n
+        sep |= cr
+        del cr
+    at = np.flatnonzero(sep)
     del sep
-    line_end = np.append(raw[ends[:-1]] != ord(delim), True)
-    starts = np.insert(ends[:-1] + 1, 0, 0)
-    del raw
-    last = np.flatnonzero(line_end)  # each line's last token
-    counts = np.diff(last, prepend=-1)
-    blank = ends[last] == starts[last - counts + 1]
+    ends = np.empty(at.size + 1, dtype=_offset_type(len(buf)))
+    np.add(at, begin, out=ends[:-1], casting="unsafe")
+    del at
+    ends[-1] = end
+    starts = np.empty_like(ends)
+    starts[0] = begin
+    np.add(ends[:-1], 1, out=starts[1:])
+    if has_cr:  # a token after a \r\n starts one byte further on
+        after = ends[:-1] + 1
+        starts[1:] += (arr[after] == ord("\n")) & (arr[after - 1] == ord("\r"))
+        del after
+    line_end = arr[ends] != ord(delim)  # the last token reads a pad byte
+    blank = ends == starts  # an empty token that is all of its line
+    blank &= line_end
+    blank[1:] &= line_end[:-1]
     if blank[:-1].any():
-        starts, ends = (a[np.repeat(~blank, counts)] for a in (starts, ends))
-        last = np.cumsum(counts * ~blank) - 1
-    stop, error = last.size, None
+        lines = np.searchsorted(np.flatnonzero(line_end),
+                                np.flatnonzero(blank))
+        keep = ~blank
+    else:  # at most the empty line after a final line end, before no row
+        lines = np.empty(0, dtype=np.intp)
+        keep = slice(blank.size - blank[-1])
+    starts, ends, line_end = starts[keep], ends[keep], line_end[keep]
+    del blank, keep
+    stop, error = ends.size, None
     limit = csv.field_size_limit()
     for token in np.flatnonzero(ends - starts > limit):  # bytes >= chars
-        if len(data[starts[token]:ends[token]].decode("utf-8")) > limit:
-            stop = int(np.searchsorted(last, token))
+        if len(buf[starts[token]:ends[token]].decode("utf-8")) > limit:
+            stop = int(token)
             error = f"field larger than field limit ({limit})"
             break
-    return data, starts, ends, counts, blank, stop, error
+    return arr, starts, ends, line_end, lines, stop, error
 
 
-def _csv_tokens(data, delim):
+def _csv_tokens(buf, begin, end, delim):
     """Tokenize with :mod:`csv`; returns what :func:`_split_tokens` does.
 
-    The buffer returned is every field's UTF-8 bytes, back to back.
+    The buffer returned is every field's UTF-8 bytes, back to back, and
+    :data:`_PAD` zero bytes; the read stops after the last token.
     """
     rows, error = [], None
+    text = str(memoryview(buf)[begin:end], "utf-8")
     try:
-        rows.extend(csv.reader(io.StringIO(data.decode("utf-8"), newline=""),
+        rows.extend(csv.reader(io.StringIO(text, newline=""),
                                delimiter=delim))
     except csv.Error as exc:
         error = str(exc)
+    del text
     counts = np.fromiter(map(len, rows), dtype=np.intp, count=len(rows))
     fields = list(chain.from_iterable(rows))
+    del rows
     joined = "".join(fields)
     if not joined.isascii():
         fields = map(str.encode, fields)
-    sizes = np.fromiter(map(len, fields), dtype=np.intp, count=counts.sum())
-    ends = np.cumsum(sizes)
-    return (joined.encode("utf-8"), ends - sizes, ends, counts, counts == 0,
-            len(rows), error)
+    data = joined.encode("utf-8") + bytes(_PAD)
+    del joined
+    width = _offset_type(len(data))
+    sizes = np.fromiter(map(len, fields), dtype=width, count=counts.sum())
+    ends = np.cumsum(sizes, dtype=width)
+    line_end = np.zeros(ends.size, dtype=bool)
+    line_end[np.cumsum(counts[counts > 0]) - 1] = True
+    return (np.frombuffer(data, dtype=np.uint8), ends - sizes, ends,
+            line_end, np.flatnonzero(counts == 0), ends.size, error)
 
 
-def _intern_column(raw, buf, starts, ends):
-    """The fields ``raw[starts[i]:ends[i]]``, stripped and interned.
+def _whole_rows(line_end, k):
+    """The leading rows of ``k`` tokens, and the last token of the next.
+
+    ``line_end[t]`` tells whether token ``t`` ends its line.  Returns the
+    number of rows before the first that does not hold ``k`` tokens, and
+    the index of that row's last token: the token count if every row
+    holds ``k``.
+    """
+    rows = 0
+    if k:
+        whole = line_end[:line_end.size // k * k].reshape(-1, k)
+        ok = whole[:, -1] & ~whole[:, :-1].any(axis=1)
+        rows = ok.size if ok.all() else int(np.argmin(ok))
+    if rows * k == line_end.size:
+        return rows, line_end.size
+    return rows, rows * k + int(np.argmax(line_end[rows * k:]))
+
+
+def _intern_column(buf, starts, ends):
+    """The fields ``buf[starts[i]:ends[i]]``, stripped and interned.
 
     Returns the distinct ids in first-appearance order, each field's index
     into them and the row of the first empty id (the row count if none is).
     While every field is under 8 bytes and none starts or ends with a byte
     of a possible whitespace character, equal fields are grouped by sorting
     one exact 64-bit key each, their bytes and length, and each distinct id
-    is decoded once; any other column is decoded, stripped and grouped by a
-    dict.
+    is decoded once; the index then has the offsets' dtype.  Any other
+    column is decoded, stripped and grouped by a dict.
     """
     lens = ends - starts
     full = lens > 0
     if lens.max(initial=0) >= 8 or (
             full & (_MAYBE_SPACE[buf[starts]] | _MAYBE_SPACE[buf[ends - 1]])
             ).any():
-        texts = [text.strip() for text in _decode(raw, buf, starts, ends)]
+        texts = [text.strip() for text in _decode(buf, starts, ends)]
         return *_intern(texts), texts.index("") if "" in texts else len(texts)
     words = np.ndarray((buf.size - _PAD + 1,), dtype="<u8", buffer=buf,
                        strides=(1,))  # the 8 bytes from each position on
     key = words[starts]
     key &= _LOW[lens]
-    key |= lens.astype(np.uint64) << np.uint64(56)
+    key.view(np.uint8).reshape(-1, 8)[:, 7] = lens  # the top byte is 0
     del lens
     order = np.argsort(key)
     key = key[order]
@@ -270,18 +346,18 @@ def _intern_column(raw, buf, starts, ends):
     del key
     first = (np.minimum.reduceat(order, np.flatnonzero(head)) if order.size
              else order)  # each group's first field
-    group = np.empty(order.size, dtype=np.intp)
-    group[order] = np.cumsum(head) - 1
+    group = np.empty(order.size, dtype=starts.dtype)
+    group[order] = np.cumsum(head, dtype=group.dtype) - 1
     order = np.argsort(first)  # groups by first appearance
-    rank = np.empty(order.size, dtype=np.intp)
+    rank = np.empty(order.size, dtype=group.dtype)
     rank[order] = np.arange(order.size)
     first = first[order]
-    return (_decode(raw, buf, starts[first], ends[first]), rank[group],
+    return (_decode(buf, starts[first], ends[first]), rank[group],
             full.size if full.all() else int(np.argmin(full)))
 
 
-def _decode(raw, buf, starts, ends):
-    """The fields ``raw[starts[i]:ends[i]]`` as a list of str.
+def _decode(buf, starts, ends):
+    """The fields ``buf[starts[i]:ends[i]]`` as a list of str.
 
     About ``_DECODE_BYTES`` at a time, the fields are copied back to back
     with a newline after each and split after one decode, unless a field
@@ -301,7 +377,7 @@ def _decode(raw, buf, starts, ends):
                      - np.repeat(slots - lens - 1 - s, lens + 1)]
         joined[slots - 1] = 0
         if (joined == ord("\n")).any():
-            texts += [raw[a:b].decode("utf-8")
+            texts += [buf[a:b].tobytes().decode("utf-8")
                       for a, b in zip(s.tolist(), e.tolist())]
         else:
             joined[slots - 1] = ord("\n")
@@ -421,16 +497,18 @@ def load_signal(path):
     if repeats.size:
         row = int(repeats[0])  # every row before it holds a new id
         table.reject(row, f"duplicate node {ids[index[row]]!r}")
-    columns = [table.column(i) for i in value_cols]
-    try:
-        values = np.array([list(map(float, col)) for col in columns])
-    except ValueError:
-        table.reject(min(map(_first_non_float, columns)),
-                     "non-numeric signal value")
+    values = np.empty((table.rows, len(value_cols)))
+    for j, i in enumerate(value_cols):
+        texts = table.column(i)  # the rows before the first bad one
+        try:
+            values[:len(texts), j] = np.fromiter(
+                map(float, texts), dtype=np.float64, count=len(texts))
+        except ValueError:
+            table.reject(_first_non_float(texts), "non-numeric signal value")
     table.done()
     if not ids:
         raise ParseError(f"{path}: no signal rows")
-    return ids, np.ascontiguousarray(values.T)
+    return ids, values
 
 
 def _first_non_float(texts):

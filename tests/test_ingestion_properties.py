@@ -21,7 +21,7 @@ from pathlib import Path
 import numpy as np
 from hypothesis import example, given, settings, strategies as st
 
-from hyperprop import HyperpropError, load_incidence, load_signal
+from hyperprop import HyperpropError, ParseError, load_incidence, load_signal
 from hyperprop.io import read_labels
 from oracles import row_load_incidence, row_load_signal, row_read_labels
 from util import incidence_arrays
@@ -183,3 +183,50 @@ def test_signal_loader_matches_row_oracle(signal, limit):
     want_values = np.array(want_values, dtype=np.float64)
     assert values.shape == want_values.shape
     assert values.tobytes() == want_values.tobytes()  # nan and -0.0 too
+
+
+# each kind of bad row, as the fields a row holds and the error it raises
+BAD_ROWS = {
+    "short": (["p1"], "expected 2 fields, got 1"),
+    "long": (["p1", "a1", "x"], "expected 2 fields, got 3"),
+    "empty": ([" ", "a1"], "empty identifier"),
+    "over": (["x" * 17, "a1"], "field larger than field limit (16)"),
+}
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(data=st.data())
+def test_first_bad_row_names_its_line(data):
+    """The error names the line of the first bad row: every blank line and
+    every line end, ``\\n``, ``\\r\\n`` or ``\\r``, counts as in a text
+    editor, whichever tokenizer reads the file and whatever follows."""
+    line_ends = data.draw(st.sampled_from([["\n"], ["\r\n"], ["\r"],
+                                           ["\n", "\r\n", "\r"]]))
+    quote = '"' if data.draw(st.booleans()) else ""
+    before = data.draw(st.lists(st.sampled_from(["row", "blank"]),
+                                max_size=12))
+    bad = data.draw(st.sampled_from(sorted(BAD_ROWS)))
+    after = data.draw(st.lists(st.sampled_from(["row", "blank",
+                                                *BAD_ROWS]), max_size=4))
+    lines = ["nodeId,edgeId"]
+    for i, kind in enumerate(before + [bad] + after):
+        fields = ([] if kind == "blank" else [f"p{i % 5}", f"a{i % 3}"]
+                  if kind == "row" else BAD_ROWS[kind][0])
+        lines.append(",".join(quote + f + quote for f in fields))
+    text, end = "", ""
+    for line in lines:
+        # after a \r, a blank line's \n would make one \r\n line end
+        end = data.draw(st.sampled_from(
+            [e for e in line_ends if line or end != "\r" or e == "\r"]))
+        text += line + end
+    if data.draw(st.booleans()):  # no final line end
+        text = text[:-len(end)]
+    if data.draw(st.booleans()):
+        text = "\ufeff" + text
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp, "incidence.csv")
+        path.write_bytes(text.encode("utf-8"))
+        with field_limit(16):
+            got = outcome(load_incidence, path)
+    line = len(before) + 2  # the header is line 1
+    assert got == (ParseError, f"{path}: line {line}: {BAD_ROWS[bad][1]}")

@@ -1,6 +1,8 @@
 import csv
 import json
+import os
 import sys
+import threading
 import tracemalloc
 
 import numpy as np
@@ -231,6 +233,80 @@ class TestColumnarReader:
         assert maps.edge_ids.ids == edge_ids
         assert long_id in node_ids and long_id in edge_ids
         assert incidence_arrays(h) == want
+
+    def test_many_rows_load_in_memory_bounded_by_the_file(self, tmp_path):
+        # 120,000 rows of short ids over 16,000 nodes and 3,200 edges, as
+        # in perfbench's classify-prop files
+        rng = np.random.default_rng(0)
+        nodes = rng.integers(16_000, size=120_000).tolist()
+        edges = rng.integers(3_200, size=120_000).tolist()
+        incidence = tmp_path / "incidence.csv"
+        incidence.write_text("nodeId,edgeId\n" + "".join(
+            f"p{u},a{e}\n" for u, e in zip(nodes, edges)))
+        labels = tmp_path / "labels.csv"
+        labels.write_text("nodeId,label\n" + "".join(
+            f"p{u},c{u % 40}\n" for u in rng.permutation(16_000).tolist()))
+        size = incidence.stat().st_size
+        # held once, with two int32 offsets per field, the file peaks at
+        # 5.4x its bytes (6.2x with the labels); a copy per tokenizing
+        # step and int64 offsets would reach 8.6x (9.4x)
+        for load, bound in [(lambda: load_incidence(incidence), 6),
+                            (lambda: load_dataset(incidence, labels), 7)]:
+            tracemalloc.start()
+            try:
+                load()
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak < bound * size
+
+    @pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="no named pipes")
+    def test_pipe_reads_like_a_file(self, tmp_path):
+        # a pipe reports no size, so its buffer grows as it is read
+        text = "nodeId,edgeId\n" + "".join(f"p{i},a{i % 7}\n"
+                                           for i in range(20_000))
+        path = tmp_path / "incidence.csv"
+        path.write_text(text)
+        pipe = tmp_path / "pipe.csv"
+        os.mkfifo(pipe)
+        writer = threading.Thread(target=pipe.write_text, args=(text,),
+                                  daemon=True)
+        writer.start()
+        try:
+            h, maps = load_incidence(pipe)
+        finally:
+            writer.join(timeout=10)
+        assert not writer.is_alive()
+        want, node_ids, edge_ids = row_load_incidence(path)
+        assert (maps.node_ids.ids, maps.edge_ids.ids) == (node_ids, edge_ids)
+        assert incidence_arrays(h) == want
+
+    @pytest.mark.parametrize("text", [
+        'nodeId,edgeId\r\na,e1\r\n\r\n"b",e2\rc,e1\n',
+        "\ufeffnodeId\tedgeId\ra\te1\r\r\nb\te2\n\nc\te1",
+        "nodeId,edgeId\na,e1\n\nb\n",
+        'nodeId,edgeId\na,e1\n\n"b"\n',
+    ])
+    def test_int64_offsets_read_the_same(self, tmp_path, monkeypatch, text):
+        # offsets are int32 below 2 GiB, int64 above: both give one table
+        path = tmp_path / "incidence.csv"
+        path.write_text(text, encoding="utf-8", newline="")
+
+        def read():
+            table = hyperprop.io._Table(path)
+            columns = [table.ids(i) for i in table.indexes(("nodeId",
+                                                            "edgeId"))]
+            return table, [(ids, index.tolist()) for ids, index in columns]
+
+        narrow, want = read()
+        monkeypatch.setattr(hyperprop.io, "_offset_type",
+                            lambda size: np.int64)
+        wide, got = read()
+        assert narrow._starts.dtype == np.int32
+        assert wide._starts.dtype == wide._ends.dtype == np.int64
+        assert got == want
+        assert (wide.rows, str(wide.error)) == (narrow.rows,
+                                                str(narrow.error))
 
     @pytest.mark.parametrize("rows", [
         [f"{'a' * k},e{k % 3}" for k in (7, 8, 9, 16, 17, 8, 9)]
@@ -485,6 +561,24 @@ class TestSignalFiles:
         # their joined text take under 2 MB, one block of rows under 1 MB.
         assert path.stat().st_size > 12 * 2**20
         assert peak < 4 * 2**20
+
+    def test_many_rows_read_in_memory_bounded_by_the_file(self, tmp_path):
+        n, d = 50_000, 7
+        values = np.random.default_rng(0).random((n, d))
+        path = tmp_path / "signal.csv"
+        write_signal(path, [f"n{i}" for i in range(n)], values)
+        tracemalloc.start()
+        try:
+            ids, got = load_signal(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # the file is about 7 MB.  One column of values at a time as str,
+        # converted straight into the array, peaks at 4.0x the file; all
+        # of them as str and as lists of Python floats would reach 7.9x.
+        assert peak < 5 * path.stat().st_size
+        assert ids == [f"n{i}" for i in range(n)]
+        assert got.tobytes() == values.tobytes()
 
     def test_plain_ids_bytes(self, tmp_path):
         path = tmp_path / "signal.csv"
