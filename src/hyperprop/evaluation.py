@@ -41,8 +41,15 @@ hold about what one unit held alone.  A block is never narrower than one
 column, so past that point (4 workers at 128k nodes, 2 from about 197k)
 each worker holds a one-column unit of its own: the units in flight hold
 ``n_jobs * n_nodes * 8`` bytes per layer matrix, which grows with the
-worker count.  A cell's ``micros`` is its equal share of its block's
-method time.
+worker count.  A fold's live classes are split into the fewest blocks
+that width allows, ``ceil(live / width)``, of widths that differ by at
+most one: 20 classes at width 15 run as 10 + 10, not 15 + 5.  That is
+as many units as a cut at the width, none wider, and the one-column
+floor is unchanged.  Units of one size reuse the memory the unit before
+them freed: on the retrieve-nb benchmark (12.5k nodes, two workers) a
+one-shot run's harness took 1.0k-1.4k minor page faults instead of
+6.7k-11.4k, and the median peak RSS fell by 1.0-1.3 MB.  A cell's
+``micros`` is its equal share of its block's method time.
 
 For ``row`` and ``alpha``, whose layer starts with the gather
 ``B^-1 H^T x``, the seed's first edge averages are counted, not
@@ -83,11 +90,13 @@ METHODS = ("propagation", "naive-bayes")
 # sparse products cost less per nonzero and column the wider the block: on a
 # 16k-node graph (2 vCPUs, 2 MiB L2) classification ran 0.39 s at 1 MiB (8
 # columns), 0.31 s at 2 MiB and 0.28 s at 3 MiB (24 columns), one worker.  At
-# 3 MiB the harness allocates at most 5.2 MiB there, under the 12.7 MiB that
-# loading the graph peaks at, and the process's peak RSS held at 70 MB up to
-# 5 MiB; wider blocks save less and hold more.  Two workers with a full 3 MiB
-# each raised Naive Bayes retrieval's peak RSS by about 7 MB (12.5k nodes);
-# sharing the budget kept that to about 2 MB.
+# 3 MiB its 40 classes run as 20 + 20, and the 3-layer harness allocates
+# at most 4.6 MiB there (5.4 MiB as 24 + 16), under the 8.5 MiB that loading
+# the graph peaks at; the process's peak RSS held at 70 MB up to 5 MiB with
+# 24 + 16, and wider blocks save less and hold more.  Two workers with a full
+# 3 MiB each raised Naive Bayes retrieval's peak RSS by about 7 MB (12.5k
+# nodes); sharing the budget kept that to about 2 MB, and splitting its 20
+# classes 10 + 10 rather than 15 + 5 took its harness peak from 7.1 to 4.9 MiB.
 _BLOCK_BYTES = 3 * 2**20
 
 
@@ -160,14 +169,17 @@ class TaskSpec:
             raise InvalidConfigError(f"method must be one of {METHODS}")
         for name, least in (("n_folds", 2), ("top_k", 1), ("seed", 0)):
             value = getattr(self, name)
-            if not isinstance(value, (int, np.integer)) or value < least:
+            if (isinstance(value, bool)
+                    or not isinstance(value, (int, np.integer))
+                    or value < least):
                 raise InvalidConfigError(
                     f"{name} must be an integer >= {least}, got {value!r}")
             # a numpy scalar would fail only when the report is written
             object.__setattr__(self, name, int(value))
         # at 0 a node with one edge seen only among positives and another
         # seen only among negatives scores inf - inf = NaN
-        if (not isinstance(self.smoothing, Real)
+        if (isinstance(self.smoothing, bool)
+                or not isinstance(self.smoothing, Real)
                 or not np.isfinite(self.smoothing) or self.smoothing <= 0):
             raise InvalidConfigError(
                 f"smoothing must be finite and > 0, got {self.smoothing}")
@@ -402,7 +414,9 @@ def _run(h: Hypergraph, labels, task: TaskSpec, dataset_name, class_names,
                 live.append(class_pos)
             else:
                 outcomes[class_pos, fold] = reason
-        units += [(fold, live[i:i + width]) for i in range(0, len(live), width)]
+        if live:  # the fewest blocks the budget allows, widths within one
+            units += [(fold, block.tolist()) for block in
+                      np.array_split(live, -(-len(live) // width))]
 
     results = [None] * len(units)
     todo = iter(range(len(units)))
@@ -464,7 +478,8 @@ def run_classification(h: Hypergraph, labels, task: TaskSpec, *,
     Cells whose ROC-AUC is undefined are recorded under ``skipped`` rather
     than dropped silently.  ``n_jobs`` (>= 1) threads share the
     (fold, class block) units and the block memory budget, down to one
-    column per thread.
+    column per thread; a fold's classes fill the fewest blocks that
+    share allows, of widths within one of each other.
     """
     if task.task != "classification":
         raise InvalidConfigError("TaskSpec.task must be 'classification'")
@@ -477,7 +492,9 @@ def run_retrieval(h: Hypergraph, labels, task: TaskSpec, *,
     """Run the positive-only retrieval protocol scored by precision@k.
 
     ``n_jobs`` (>= 1) threads share the (fold, class block) units and the
-    block memory budget, down to one column per thread.
+    block memory budget, down to one column per thread; a fold's classes
+    fill the fewest blocks that share allows, of widths within one of
+    each other.
     """
     if task.task != "retrieval":
         raise InvalidConfigError("TaskSpec.task must be 'retrieval'")

@@ -72,7 +72,9 @@ class PropagationConfig:
         if self.variant not in VARIANTS:
             raise InvalidConfigError(
                 f"unknown variant {self.variant!r}; expected one of {VARIANTS}")
-        if not isinstance(self.layers, (int, np.integer)) or self.layers < 1:
+        if (isinstance(self.layers, bool)
+                or not isinstance(self.layers, (int, np.integer))
+                or self.layers < 1):
             raise InvalidConfigError("layers must be an integer >= 1")
         # a numpy scalar would fail only when a report is written
         object.__setattr__(self, "layers", int(self.layers))

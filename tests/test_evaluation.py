@@ -124,9 +124,11 @@ class TestTaskSpec:
 
     @pytest.mark.parametrize("field,value", [
         ("n_folds", 3.0), ("top_k", 2.5), ("seed", 1.0), ("seed", -1),
-        ("seed", "7"), ("smoothing", "1")])
+        ("seed", "7"), ("smoothing", "1"), ("seed", True), ("seed", False),
+        ("top_k", True), ("smoothing", True)])
     def test_fields_checked_at_construction(self, field, value):
-        # each would otherwise fail later, inside numpy, or not at all
+        # each would otherwise fail later, inside numpy, or not at all; a
+        # bool would reach the report as true or be taken as 1
         with pytest.raises(InvalidConfigError, match=field):
             TaskSpec(task="retrieval", **{field: value})
 
@@ -456,6 +458,37 @@ class TestBlockLayout:
         run_retrieval(h, labels, TaskSpec(task="retrieval", n_folds=5,
                                           top_k=12, seed=4), n_jobs=n_jobs)
         assert max(widths) == width
+
+    @pytest.mark.parametrize("task,method", [
+        ("classification", "propagation"), ("retrieval", "naive-bayes")])
+    def test_each_fold_splits_its_classes_evenly(self, monkeypatch, task,
+                                                 method):
+        # 10 classes, one of them a single node, which only its own fold
+        # scores: one fold ranks 10 classes and the other 9, in the fewest
+        # blocks of at most 4, not 4 + 4 + 2 and 4 + 4 + 1
+        h = random_hypergraph(400, 80, 1600, seed=0)
+        labels = np.random.default_rng(0).integers(0, 9, h.n_nodes)
+        labels[0] = 9
+        monkeypatch.setattr(evaluation, "_BLOCK_BYTES", 8 * h.n_nodes * 4)
+        blocks = {}
+        original = evaluation._score_block
+
+        def spy(h, class_of, folds, fold, block, *args):
+            blocks.setdefault(fold, []).append(len(block))
+            return original(h, class_of, folds, fold, block, *args)
+
+        monkeypatch.setattr(evaluation, "_score_block", spy)
+        runner = run_classification if task == "classification" \
+            else run_retrieval
+        report = runner(h, labels, TaskSpec(task=task, method=method,
+                                            n_folds=2, top_k=10))
+        live = [sum(c.fold == fold for c in report.cells) for fold in (0, 1)]
+        assert sorted(live) == [9, 10]
+        for fold in (0, 1):
+            widths = blocks[fold]
+            assert sum(widths) == live[fold]
+            assert len(widths) == -(-live[fold] // 4)
+            assert max(widths) - min(widths) <= 1 and max(widths) <= 4
 
 
 class TestCountedMemory:

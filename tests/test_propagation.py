@@ -533,7 +533,8 @@ class TestConfig:
             PropagationConfig(variant="row", alpha=0.5)
 
     def test_layers_at_least_one(self):
-        for bad in (0, -1):
+        # True would be taken as 1
+        for bad in (0, -1, True):
             with pytest.raises(InvalidConfigError):
                 PropagationConfig(layers=bad)
 
