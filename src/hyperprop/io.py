@@ -12,15 +12,21 @@ per field and each distinct id is decoded once; any other id column is
 decoded, stripped by ``str.strip`` and grouped by a dict.  While a file
 is read, the reader holds one padded copy of its bytes plus two offsets
 per field, int32 while the copy is under 2 GiB and int64 above.
-Metric reports serialize to a canonical JSON document (stable key order,
-lossless floats) or to CSV with the fixed column order
-``class,fold,metric,value,micros``.
+Signal files are written :data:`_WRITE_ROWS` rows at a time, each block
+as one byte matrix that one pass turns into the block's text: numpy
+formats zeros and the values of magnitude in ``[1e-4, 1e17)``, byte for
+byte as ``%.17g`` does (see :func:`_fixed_slots`), and one ``%`` per
+block formats the rest, so the file is what csv's writer makes of each
+value's ``%.17g`` text.  Metric reports serialize to a canonical JSON
+document (stable key order, lossless floats) or to CSV with the fixed
+column order ``class,fold,metric,value,micros``.
 """
 
 from __future__ import annotations
 
 import codecs
 import csv
+import functools
 import io
 import json
 import os
@@ -28,6 +34,7 @@ import re
 from dataclasses import dataclass
 from itertools import chain, count
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -48,8 +55,9 @@ _MAYBE_SPACE = np.array([chr(b).isspace() for b in range(128)] + [True] * 128)
 _LOW = np.array([(1 << 8 * k) - 1 for k in range(8)], dtype=np.uint64)
 # bytes that _decode gathers at once
 _DECODE_BYTES = 1 << 18
-# rows that write_signal formats with one % and writes at once
-_WRITE_ROWS = 512
+# rows that write_signal formats and writes at once; a block of d columns
+# peaks at about 170 bytes per value (2.3 MiB for d = 7)
+_WRITE_ROWS = 2048
 
 
 @dataclass(frozen=True)
@@ -523,15 +531,20 @@ def _first_non_float(texts):
 def write_signal(path, node_ids, values):
     """Write a per-node signal file (inverse of :func:`load_signal`).
 
-    ``values`` has shape ``(len(node_ids),)`` or ``(len(node_ids), d)``.
-    The file is what csv's default writer makes of the header ``nodeId``,
-    ``value`` (``value0`` ... ``value{d-1}`` when ``d != 1``) and one row
-    per node: the id, then each value as ``%.17g``, so the file round-trips
-    losslessly; rows end in ``\\r\\n``.  Rows are formatted and written
-    :data:`_WRITE_ROWS` at a time, with one ``%`` and one write per block,
-    so beyond a list of the ids the writer holds one block as Python floats
-    and text, never the whole file.  A shape that does not match the ids raises
-    :class:`ShapeError` before the file is opened.
+    ``values`` has shape ``(len(node_ids),)`` or ``(len(node_ids), d)``
+    with ``d >= 1``.  The file is what csv's default writer makes of the
+    header ``nodeId``, ``value`` (``value0`` ... ``value{d-1}`` when
+    ``d != 1``) and one row per node: the id, then each value as
+    ``%.17g``, so the file round-trips losslessly; rows end in ``\\r\\n``.
+    Rows are formatted and written :data:`_WRITE_ROWS` at a time by
+    :func:`_signal_rows`, with one write per block: zeros and values of
+    magnitude in ``[1e-4, 1e17)``, which ``%.17g`` prints positionally, by
+    numpy; exponent-style values (``|v| < 1e-4`` or ``>= 1e17``), inf, nan
+    and subnormals by one Python ``%.17g`` template per block.  Beyond a
+    list of the ids the writer holds one block's arrays and text, about
+    170 bytes per value, never the whole file.  A shape that does not
+    match the ids, or holds no values per row, raises :class:`ShapeError`
+    before the file is opened.
     """
     values = np.asarray(values, dtype=np.float64)
     ids = list(node_ids)
@@ -543,6 +556,9 @@ def write_signal(path, node_ids, values):
     if values.ndim == 1:
         values = values[:, None]
     d = values.shape[1]
+    if d == 0:
+        raise ShapeError("values have no columns: a signal file needs at "
+                         "least one")
     header = ["nodeId"] + (["value"] if d == 1 else
                            [f"value{i}" for i in range(d)])
     try:
@@ -551,15 +567,11 @@ def write_signal(path, node_ids, values):
         plain = False
     if not plain:
         ids = list(map(_csv_field, ids))
-    if "%" in "".join(ids):  # the ids become part of a %-template
-        ids = [node_id.replace("%", "%%") for node_id in ids]
-    row_end = ",%.17g" * d + "\r\n"
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        csv.writer(fh).writerow(header)
+    with open(path, "wb") as fh:
+        fh.write((",".join(header) + "\r\n").encode())
         for start in range(0, len(ids), _WRITE_ROWS):
             block = slice(start, start + _WRITE_ROWS)
-            template = row_end.join(ids[block]) + row_end
-            fh.write(template % tuple(values[block].ravel().tolist()))
+            fh.write(_signal_rows(ids[block], values[block]))
 
 
 def _csv_field(value) -> str:
@@ -567,6 +579,256 @@ def _csv_field(value) -> str:
     buf = io.StringIO()
     csv.writer(buf).writerow((value, ""))
     return buf.getvalue()[:-3]  # drop the empty last field and the "\r\n"
+
+
+# ---------------------------------------------------------------------------
+# Signal formatting
+# ---------------------------------------------------------------------------
+#
+# Each value of a block becomes one 24-byte slot: a comma and the value's
+# %.17g text, or ",%.17g" for a value that Python formats, then _FILL
+# bytes, which no UTF-8 text holds, so one pass drops them.  A slot that
+# numpy formats is built as three little-endian words: byte 0 is the
+# comma, byte 1 the sign ("-" or _FILL) and bytes 2 on the positional
+# text, at most "0.000" and 17 digits.  The tables of _tables() are
+# indexed by the decimal exponent E in [-4, 16] plus 4, and by a slot's
+# length.
+
+_FILL = 0xFF
+_FILL_BYTE = bytes([_FILL])
+_WORD = np.dtype("<u8")
+_VELTKAMP = 2.0**27 + 1
+# the slot of a value that Python formats
+_PERCENT_SLOT = np.frombuffer(b",%.17g".ljust(24, _FILL_BYTE), dtype="V24")
+_ROW_END = np.frombuffer(b"\r\n", dtype=np.uint8)
+
+
+@functools.cache
+def _tables():
+    """The numpy formatter's lookup tables, built on first use.
+
+    A process that writes no signal builds none of them and pages in none
+    of the numpy code that builds them, about 1 MB of RSS.
+    """
+    exp = np.arange(-4, 17)
+    slot = np.arange(24)
+
+    def word_columns(rows):
+        """Rows of 24 bytes as three columns of words."""
+        words = np.ascontiguousarray(rows, dtype=np.uint8).view(_WORD)
+        return tuple(np.ascontiguousarray(words[:, i]) for i in range(3))
+
+    t = SimpleNamespace()
+    # 10**(16-E), exact up to 10**22, and its Veltkamp halves
+    t.scale = (np.cumprod(np.full(21, 10.0)) / 10)[16 - exp]
+    t.scale_hi = t.scale * _VELTKAMP - (t.scale * _VELTKAMP - t.scale)
+    t.scale_lo = t.scale - t.scale_hi
+    # the ASCII digits of 0000 ... 9999, first digit in the low byte
+    digit = np.arange(ord("0"), ord("9") + 1, dtype=_WORD)
+    t.digits4 = (digit[:, None, None, None] | digit[:, None, None] << 8
+                 | digit[:, None] << 16 | digit << 24).ravel()
+    # trailing zeros of 0000 ... 9999, 4 for 0000
+    zero = np.zeros(10, dtype=np.int8)
+    zero[0] = 1
+    t.zeros4 = (zero * (1 + zero[:, None] * (1 + zero[:, None, None] * (
+        1 + zero[:, None, None, None])))).ravel()
+    # the 17 digits start at byte ``at``; for E >= 0 a "." goes after
+    # E + 1 of them, for E < 0 they follow "0." and -1 - E zeros
+    at = np.where(exp >= 0, 2, 3 - exp)
+    t.shift = (8 * at).astype(_WORD)
+    dot = np.where(exp >= 0, 3 + exp, 24)
+    t.from_dot = word_columns((slot >= dot[:, None]) * 0xFF)
+    prefix = np.zeros((21, 24), dtype=np.uint8)
+    prefix[:, :2] = ord(","), _FILL
+    prefix[exp >= 0, dot[exp >= 0]] = ord(".")
+    prefix[(exp[:, None] < 0) & (slot >= 2) & (slot < at[:, None])] = ord("0")
+    prefix[exp < 0, 3] = ord(".")
+    t.prefix = word_columns(prefix)
+    # slot length before trailing zeros go, and the digits after the point
+    t.length = np.where(exp >= 0, 20, 20 - exp)
+    t.fraction = 16 - exp
+    # _FILL from byte L on, for a slot of length L
+    t.tail = word_columns((slot >= np.arange(25)[:, None]) * _FILL)
+    return t
+
+
+def _signal_rows(ids, values):
+    """The text of signal rows as bytes: ``ids[i]``, then ``values[i]``.
+
+    ``ids`` are csv-ready str.  The block is laid out as one byte matrix,
+    a row per id: the id's UTF-8 bytes, a 24-byte slot per value and the
+    row end, padded with _FILL bytes, which one pass then drops.  Zeros
+    and magnitudes in ``[1e-4, 1e17)`` are formatted by
+    :func:`_fixed_slots`.  Every other value, and any whose exponent
+    :func:`_fixed_slots` could not fix, gets the slot ``,%.17g``: the
+    block's bytes are then a template that one ``%`` fills.
+    """
+    rows, d = values.shape
+    flat = values.ravel()
+    mag = np.abs(flat)
+    fixed = (mag >= 1e-4) & (mag < 1e17)
+    fixed |= mag == 0
+    at = np.flatnonzero(fixed)
+    if at.size == flat.size:
+        slots, failed = _fixed_slots(flat, mag)
+    else:
+        slots = np.repeat(_PERCENT_SLOT, flat.size)
+        failed = np.zeros(0, dtype=bool)
+        if at.size:
+            fixed_slots, failed = _fixed_slots(flat[at], mag[at])
+            slots[at] = fixed_slots
+            del fixed_slots
+    del mag
+    failed = at[failed]
+    if failed.size:
+        fixed[failed] = False
+        slots[failed] = _PERCENT_SLOT
+    other = flat[~fixed]
+    del fixed, at, failed
+    joined = "".join(ids)
+    if other.size and "%" in joined:  # the ids become part of a template
+        ids = [node_id.replace("%", "%%") for node_id in ids]
+        joined = "".join(ids)
+    if joined.isascii():
+        id_bytes = joined.encode("ascii")
+        id_len = np.fromiter(map(len, ids), dtype=np.intp, count=rows)
+    else:
+        encoded = [node_id.encode("utf-8") for node_id in ids]
+        id_bytes = b"".join(encoded)
+        id_len = np.fromiter(map(len, encoded), dtype=np.intp, count=rows)
+    del joined
+    id_width = int(id_len.max(initial=0))
+    matrix = np.full((rows, id_width + 24 * d + 2), _FILL, dtype=np.uint8)
+    matrix[:, id_width:-2] = slots.view(np.uint8).reshape(rows, -1)
+    del slots
+    matrix[:, -2:] = _ROW_END
+    # each id's bytes to the start of its row
+    row_at = np.arange(rows) * matrix.shape[1] - (np.cumsum(id_len) - id_len)
+    matrix.ravel()[np.repeat(row_at, id_len) + np.arange(len(id_bytes))] = (
+        np.frombuffer(id_bytes, dtype=np.uint8))
+    text = matrix.tobytes().translate(None, _FILL_BYTE)
+    if other.size:
+        text = (text.decode("utf-8") % tuple(other.tolist())).encode("utf-8")
+    return text
+
+
+def _fixed_slots(values, mag):
+    """The 24-byte slots of ``values``, positional %.17g text.
+
+    ``mag`` is ``abs(values)``, each 0 or in ``[1e-4, 1e17)``; it is
+    overwritten.  The %.17g digits of a value ``v`` with decimal exponent
+    ``E`` are the integer nearest to ``|v| * 10**(16 - E)``, ties to even.
+    That product is formed exactly, as ``p + e`` by Dekker's TwoProduct,
+    and it lies in ``[1e16, 1e17)`` for the right ``E``: ``E`` is
+    estimated from ``log10`` and fixed once where the range test on
+    ``(p, e)`` fails.  Then ``p`` is an even integer above 2**53, so the
+    digits are ``p + rint(e)`` rounded as CPython does.  Also returns
+    which values failed the range test twice; their slots are not valid.
+    """
+    t = _tables()
+    zero = mag == 0
+    mag[zero] = 1.0
+    exp = np.log10(mag)
+    np.floor(exp, out=exp)
+    exp = exp.astype(np.intp)
+    exp += 4
+    np.clip(exp, 0, 20, out=exp)
+    p, e = _scaled(mag, exp)
+    low, high = _out_of_range(p, e)
+    if low.any() or high.any():
+        exp += high
+        exp -= low
+        np.clip(exp, 0, 20, out=exp)
+        p, e = _scaled(mag, exp)
+        low, high = _out_of_range(p, e)
+    failed = low | high
+    digits = p.astype(np.int64)
+    digits += np.rint(e).astype(np.int64)
+    del mag, p, e, low, high
+    # the 17 digits: 1, then four groups of 4
+    top = digits // 10**8
+    low = digits - top * 10**8
+    del digits
+    lead = top // 10**4
+    g2 = top - lead * 10**4
+    g0 = lead // 10**4
+    g1 = lead - g0 * 10**4
+    g0 -= zero  # a zero is formatted as 1, then its digit turned to 0
+    del zero
+    g3 = low // 10**4
+    g4 = low - g3 * 10**4
+    trailing = t.zeros4[g4]
+    more = np.flatnonzero(g4 == 0)  # the values whose zeros go on
+    for group in g3, g2, g1:
+        group = group[more]
+        trailing[more] += t.zeros4[group]
+        more = more[group == 0]
+    fraction = t.fraction[exp]
+    np.minimum(trailing, fraction, out=trailing)
+    length = t.length[exp] - trailing
+    length -= trailing == fraction  # no digits after the point: no point
+    del trailing, fraction
+    # the digits as 17 bytes, then shifted to their place in the slot
+    q2, q4 = t.digits4[g2], t.digits4[g4]
+    w0 = t.digits4[g1] << 8
+    w0 |= q2 << 40
+    w0 |= g0.view(_WORD)
+    w0 += ord("0")
+    w1 = t.digits4[g3] << 8
+    w1 |= q2 >> 24
+    w1 |= q4 << 40
+    w2 = q4 >> 24
+    del q2, q4, g0, g1, g2, g3, g4, top, low, lead
+    shift = t.shift[exp]
+    w2 <<= shift
+    w2 |= w1 >> (64 - shift)
+    w1 <<= shift
+    w1 |= w0 >> (64 - shift)
+    w0 <<= shift
+    del shift
+    # the bytes from the point on move up one
+    words = w0, w1, w2
+    m0, m1, m2 = (w & above[exp] for w, above in zip(words, t.from_dot))
+    w0 ^= m0
+    w0 |= m0 << 8
+    w1 ^= m1
+    w1 |= m1 << 8
+    w1 |= m0 >> 56
+    w2 ^= m2
+    w2 |= m2 << 8
+    w2 |= m1 >> 56
+    del m0, m1, m2
+    for w, prefix, tail in zip(words, t.prefix, t.tail):
+        w |= prefix[exp]
+        w |= tail[length]
+    sign = values.view(_WORD) >> 63
+    sign *= (_FILL ^ ord("-")) << 8
+    w0 ^= sign
+    slots = np.empty((values.size, 3), dtype=_WORD)
+    for i, w in enumerate(words):
+        slots[:, i] = w
+    return slots.view("V24")[:, 0], failed
+
+
+def _scaled(mag, exp):
+    """``mag * 10**(16 - E)`` as ``p + e`` exactly (Dekker's TwoProduct)."""
+    t = _tables()
+    p = mag * t.scale[exp]
+    split = mag * _VELTKAMP
+    hi = split - (split - mag)
+    lo = mag - hi
+    scale_hi, scale_lo = t.scale_hi[exp], t.scale_lo[exp]
+    e = hi * scale_hi - p
+    e += hi * scale_lo
+    e += lo * scale_hi
+    e += lo * scale_lo
+    return p, e
+
+
+def _out_of_range(p, e):
+    """Whether ``p + e < 1e16``, and whether ``p + e >= 1e17``."""
+    return ((p < 1e16) | ((p == 1e16) & (e < 0)),
+            (p > 1e17) | ((p == 1e17) & (e >= 0)))
 
 
 def dataset_stats(bundle: DatasetBundle) -> dict:

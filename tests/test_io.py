@@ -524,6 +524,16 @@ class TestSignalFiles:
             b'nodeId,value0,value1\r\nplain,0.10000000000000001,-0\r\n'
             b'"a,""b""\nc",0.33333333333333331,2.5e-300\r\n'
             b'"d\re",inf,nan\r\n')
+        # one block of values numpy formats and values Python formats
+        values = np.array([1e-5, 1.0, 12.5, -3e20, 1e-4, 0.99999999999999989,
+                           -0.0])
+        ids = ["%s", "b", "c", "100%", "e", "f", "g"]
+        write_signal(path, ids, values)
+        assert path.read_bytes() == row_write_signal(ids, values)
+        assert path.read_bytes() == (
+            b"nodeId,value\r\n%s,1.0000000000000001e-05\r\nb,1\r\n"
+            b"c,12.5\r\n100%,-3e+20\r\ne,0.0001\r\n"
+            b"f,0.99999999999999989\r\ng,-0\r\n")
 
     @settings(max_examples=60, deadline=None, derandomize=True,
               suppress_health_check=[HealthCheck.function_scoped_fixture])
@@ -536,6 +546,7 @@ class TestSignalFiles:
 
     @pytest.mark.parametrize("n_ids, shape", [
         (3, (2, 1)), (1, (2,)), (0, (1, 3)), (2, (2, 1, 1)), (1, ()),
+        (2, (2, 0)), (0, (0, 0)),  # no column: a file load_signal rejects
     ])
     def test_shape_mismatch_rejected_before_the_file(self, tmp_path, n_ids,
                                                      shape):
@@ -585,6 +596,83 @@ class TestSignalFiles:
         write_signal(path, ("u1", "u\x0b2"), np.array([1.5, 2.0]))
         assert path.read_bytes() == (b"nodeId,value\r\nu1,1.5\r\n"
                                      b"u\x0b2,2\r\n")
+
+
+def written_texts(values):
+    """Each value's text as the signal writer formats it, one row each."""
+    values = np.asarray(values, dtype=np.float64)
+    rows = hyperprop.io._signal_rows(["n"] * values.size, values[:, None])
+    return [row[2:] for row in rows.split(b"\r\n")[:-1]]
+
+
+def numpy_texts(values):
+    """The text of the numpy formatter's slots, and which values failed."""
+    values = np.asarray(values, dtype=np.float64)
+    slots, failed = hyperprop.io._fixed_slots(values, np.abs(values))
+    rows = slots.view(np.uint8).reshape(-1, 24)
+    return [bytes(row[row != 0xFF][1:]) for row in rows], failed
+
+
+def python_texts(values):
+    return [format(v, ".17g").encode() for v in np.asarray(values).tolist()]
+
+
+def adversarial_values():
+    """Values where a %.17g formatter can go wrong, and their negations."""
+    rng = np.random.default_rng(20)
+    powers = np.array([float(f"1e{k}") for k in range(-330, 309)])
+    values = [powers, np.nextafter(powers, 0), np.nextafter(powers, np.inf),
+              [1e-4, 1e16, 1e17, 0.0, 5e-324, 2.2250738585072009e-308,
+               2.2250738585072014e-308, np.inf, np.nan, 0.99999999999999989,
+               9.9999999999999991e-05, 99999999999999984.0]]
+    # a tie at the 18th digit: m / 2**j == m * 5**j / 10**j is exact, and
+    # m * 5**j has 18 digits, the last a 5, while m is odd and below 2**53
+    ties = []
+    for j in range(2, 26):
+        low, high = -(-10**17 // 5**j), min(10**18 // 5**j, 2**53)
+        for m in rng.integers(low, high, size=40).tolist():
+            m |= 1
+            if len(str(m * 5**j)) == 18:
+                ties.append(m / 2**j)
+    values.append(ties)
+    values.append(rng.integers(1, 2**52, size=500) * 5e-324)  # subnormals
+    values = np.concatenate([np.asarray(v, dtype=np.float64) for v in values])
+    return np.concatenate([values, -values])
+
+
+class TestSignalFormatter:
+    """The writer's text of each value is ``format(v, ".17g")``."""
+
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(st.lists(st.floats(), min_size=1, max_size=20))
+    def test_any_float(self, values):
+        assert written_texts(values) == python_texts(values)
+
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(st.lists(st.tuples(st.floats(1e-4, 1e17, exclude_max=True),
+                              st.booleans()), min_size=1, max_size=20))
+    def test_positional_range_takes_the_numpy_path(self, pairs):
+        values = [-v if negative else v for v, negative in pairs]
+        texts, failed = numpy_texts(values)
+        assert not failed.any()
+        assert texts == python_texts(values)
+        assert written_texts(values) == texts
+
+    def test_adversarial_corpus(self):
+        values = adversarial_values()
+        assert written_texts(values) == python_texts(values)
+        mag = np.abs(values)
+        fixed = values[((mag >= 1e-4) & (mag < 1e17)) | (mag == 0)]
+        assert fixed.size > 1000
+        texts, failed = numpy_texts(fixed)
+        assert not failed.any()
+        assert texts == python_texts(fixed)
+
+    def test_random_bit_patterns(self):
+        bits = np.random.default_rng(21).integers(
+            0, 2**64, size=20_000, dtype=np.uint64)
+        values = bits.view(np.float64)
+        assert written_texts(values) == python_texts(values)
 
 
 class TestReports:
