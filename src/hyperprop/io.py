@@ -12,12 +12,13 @@ per field and each distinct id is decoded once; any other id column is
 decoded, stripped by ``str.strip`` and grouped by a dict.  While a file
 is read, the reader holds one padded copy of its bytes plus two offsets
 per field, int32 while the copy is under 2 GiB and int64 above.
-Signal files are written :data:`_WRITE_ROWS` rows at a time, each block
-as one byte matrix that one pass turns into the block's text: numpy
-formats zeros and the values of magnitude in ``[1e-4, 1e17)``, byte for
-byte as ``%.17g`` does (see :func:`_fixed_slots`), and one ``%`` per
-block formats the rest, so the file is what csv's writer makes of each
-value's ``%.17g`` text.  Metric reports serialize to a canonical JSON
+Signal files are written in blocks of whole rows, at most
+:data:`_WRITE_VALUES` values each, each block's values as one byte matrix
+that one pass turns into text: numpy formats zeros and the values of
+magnitude in ``[1e-4, 1e17)``, byte for byte as ``%.17g`` does (see
+:func:`_fixed_slots`), and one ``%`` per block fills in the ids and
+formats the rest, so the file is what csv's writer makes of each value's
+``%.17g`` text.  Metric reports serialize to a canonical JSON
 document (stable key order, lossless floats) or to CSV with the fixed
 column order ``class,fold,metric,value,micros``.
 """
@@ -55,9 +56,9 @@ _MAYBE_SPACE = np.array([chr(b).isspace() for b in range(128)] + [True] * 128)
 _LOW = np.array([(1 << 8 * k) - 1 for k in range(8)], dtype=np.uint64)
 # bytes that _decode gathers at once
 _DECODE_BYTES = 1 << 18
-# rows that write_signal formats and writes at once; a block of d columns
-# peaks at about 170 bytes per value (2.3 MiB for d = 7)
-_WRITE_ROWS = 2048
+# values that write_signal formats and writes at once, in whole rows (at
+# least one); a block peaks at about 170 bytes per value, 2.3 MiB
+_WRITE_VALUES = 2048 * 7
 
 
 @dataclass(frozen=True)
@@ -536,13 +537,15 @@ def write_signal(path, node_ids, values):
     header ``nodeId``, ``value`` (``value0`` ... ``value{d-1}`` when
     ``d != 1``) and one row per node: the id, then each value as
     ``%.17g``, so the file round-trips losslessly; rows end in ``\\r\\n``.
-    Rows are formatted and written :data:`_WRITE_ROWS` at a time by
-    :func:`_signal_rows`, with one write per block: zeros and values of
-    magnitude in ``[1e-4, 1e17)``, which ``%.17g`` prints positionally, by
-    numpy; exponent-style values (``|v| < 1e-4`` or ``>= 1e17``), inf, nan
-    and subnormals by one Python ``%.17g`` template per block.  Beyond a
-    list of the ids the writer holds one block's arrays and text, about
-    170 bytes per value, never the whole file.  A shape that does not
+    Rows are formatted by :func:`_signal_rows` and written in blocks of
+    at most :data:`_WRITE_VALUES` values (at least one row), one write
+    per block: zeros and values of magnitude in ``[1e-4, 1e17)``, which
+    ``%.17g`` prints positionally, by numpy; exponent-style values
+    (``|v| < 1e-4`` or ``>= 1e17``), inf, nan and subnormals by one
+    Python ``%`` per block, which also fills in the ids.  Beyond a list
+    of the ids the writer holds one block's arrays and text, about 170
+    bytes per value plus a few copies of its ids' text, never the whole
+    file however wide its rows or long its ids.  A shape that does not
     match the ids, or holds no values per row, raises :class:`ShapeError`
     before the file is opened.
     """
@@ -569,8 +572,9 @@ def write_signal(path, node_ids, values):
         ids = list(map(_csv_field, ids))
     with open(path, "wb") as fh:
         fh.write((",".join(header) + "\r\n").encode())
-        for start in range(0, len(ids), _WRITE_ROWS):
-            block = slice(start, start + _WRITE_ROWS)
+        rows = max(1, _WRITE_VALUES // d)
+        for start in range(0, len(ids), rows):
+            block = slice(start, start + rows)
             fh.write(_signal_rows(ids[block], values[block]))
 
 
@@ -587,7 +591,7 @@ def _csv_field(value) -> str:
 #
 # Each value of a block becomes one 24-byte slot: a comma and the value's
 # %.17g text, or ",%.17g" for a value that Python formats, then _FILL
-# bytes, which no UTF-8 text holds, so one pass drops them.  A slot that
+# bytes, which no ASCII text holds, so one pass drops them.  A slot that
 # numpy formats is built as three little-endian words: byte 0 is the
 # comma, byte 1 the sign ("-" or _FILL) and bytes 2 on the positional
 # text, at most "0.000" and 17 digits.  The tables of _tables() are
@@ -600,6 +604,8 @@ _WORD = np.dtype("<u8")
 _VELTKAMP = 2.0**27 + 1
 # the slot of a value that Python formats
 _PERCENT_SLOT = np.frombuffer(b",%.17g".ljust(24, _FILL_BYTE), dtype="V24")
+# a row's id field, and the one of a block with values that Python formats
+_ID_FIELD = np.frombuffer(b"%s\xff%%s", dtype=np.uint8).reshape(2, 3)
 _ROW_END = np.frombuffer(b"\r\n", dtype=np.uint8)
 
 
@@ -655,13 +661,16 @@ def _tables():
 def _signal_rows(ids, values):
     """The text of signal rows as bytes: ``ids[i]``, then ``values[i]``.
 
-    ``ids`` are csv-ready str.  The block is laid out as one byte matrix,
-    a row per id: the id's UTF-8 bytes, a 24-byte slot per value and the
+    ``ids`` are csv-ready str.  The values are laid out as one byte
+    matrix, a row per id: an id field, a 24-byte slot per value and the
     row end, padded with _FILL bytes, which one pass then drops.  Zeros
     and magnitudes in ``[1e-4, 1e17)`` are formatted by
     :func:`_fixed_slots`.  Every other value, and any whose exponent
-    :func:`_fixed_slots` could not fix, gets the slot ``,%.17g``: the
-    block's bytes are then a template that one ``%`` fills.
+    :func:`_fixed_slots` could not fix, gets the slot ``,%.17g``.  The
+    text is then a template: one ``%`` formats those values, if any,
+    turning each id field ``%%s`` into ``%s``, and one ``%`` fills in the
+    ids.  The matrix never holds an id, so its width is set by ``d``
+    alone, and each id's text is copied a few times, however long it is.
     """
     rows, d = values.shape
     flat = values.ravel()
@@ -669,47 +678,26 @@ def _signal_rows(ids, values):
     fixed = (mag >= 1e-4) & (mag < 1e17)
     fixed |= mag == 0
     at = np.flatnonzero(fixed)
-    if at.size == flat.size:
-        slots, failed = _fixed_slots(flat, mag)
-    else:
-        slots = np.repeat(_PERCENT_SLOT, flat.size)
-        failed = np.zeros(0, dtype=bool)
-        if at.size:
-            fixed_slots, failed = _fixed_slots(flat[at], mag[at])
-            slots[at] = fixed_slots
-            del fixed_slots
-    del mag
-    failed = at[failed]
-    if failed.size:
+    slots = np.repeat(_PERCENT_SLOT, flat.size)
+    if at.size:
+        fixed_slots, failed = _fixed_slots(flat[at], mag[at])
+        slots[at] = fixed_slots
+        failed = at[failed]
         fixed[failed] = False
         slots[failed] = _PERCENT_SLOT
+        del fixed_slots, failed
+    del mag, at
     other = flat[~fixed]
-    del fixed, at, failed
-    joined = "".join(ids)
-    if other.size and "%" in joined:  # the ids become part of a template
-        ids = [node_id.replace("%", "%%") for node_id in ids]
-        joined = "".join(ids)
-    if joined.isascii():
-        id_bytes = joined.encode("ascii")
-        id_len = np.fromiter(map(len, ids), dtype=np.intp, count=rows)
-    else:
-        encoded = [node_id.encode("utf-8") for node_id in ids]
-        id_bytes = b"".join(encoded)
-        id_len = np.fromiter(map(len, encoded), dtype=np.intp, count=rows)
-    del joined
-    id_width = int(id_len.max(initial=0))
-    matrix = np.full((rows, id_width + 24 * d + 2), _FILL, dtype=np.uint8)
-    matrix[:, id_width:-2] = slots.view(np.uint8).reshape(rows, -1)
-    del slots
+    matrix = np.empty((rows, 24 * d + 5), dtype=np.uint8)
+    matrix[:, :3] = _ID_FIELD[int(other.size > 0)]
+    matrix[:, 3:-2] = slots.view(np.uint8).reshape(rows, -1)
     matrix[:, -2:] = _ROW_END
-    # each id's bytes to the start of its row
-    row_at = np.arange(rows) * matrix.shape[1] - (np.cumsum(id_len) - id_len)
-    matrix.ravel()[np.repeat(row_at, id_len) + np.arange(len(id_bytes))] = (
-        np.frombuffer(id_bytes, dtype=np.uint8))
-    text = matrix.tobytes().translate(None, _FILL_BYTE)
-    if other.size:
-        text = (text.decode("utf-8") % tuple(other.tolist())).encode("utf-8")
-    return text
+    del slots, fixed
+    template = matrix.tobytes().translate(None, _FILL_BYTE).decode("ascii")
+    del matrix
+    if other.size:  # "%%s" leaves "%s" for the ids
+        template %= tuple(other.tolist())
+    return (template % tuple(ids)).encode("utf-8")
 
 
 def _fixed_slots(values, mag):

@@ -36,11 +36,12 @@ SIGNAL_VALUES = st.one_of(
 @st.composite
 def signals(draw):
     """``(node ids, values)`` with 1-D or 2-D values and a row count at,
-    or one off, a multiple of the writer's block size."""
-    block = hyperprop.io._WRITE_ROWS
+    or one off, a multiple of the writer's block of rows."""
+    d = draw(st.integers(0, 4))  # 0: 1-D values
+    block = hyperprop.io._WRITE_VALUES // max(d, 1)
     n = draw(st.sampled_from([0, 1, 2, block - 1, block, block + 1,
                               2 * block + 1]))
-    shape = (n,) if draw(st.booleans()) else (n, draw(st.integers(1, 4)))
+    shape = (n, d) if d else (n,)
     id_pool = draw(st.lists(SIGNAL_IDS, min_size=1, max_size=8))
     value_pool = np.array(draw(st.lists(SIGNAL_VALUES, min_size=1,
                                         max_size=8)))
@@ -544,6 +545,15 @@ class TestSignalFiles:
         write_signal(path, ids, values)
         assert path.read_bytes() == row_write_signal(ids, values)
 
+    def test_rows_wider_than_a_block_written_one_at_a_time(self, tmp_path):
+        d = hyperprop.io._WRITE_VALUES + 1
+        values = np.random.default_rng(0).random((3, d))
+        values[1, ::2] = 1e-300  # a row Python formats in part
+        ids = ["a", "100%", "c"]
+        path = tmp_path / "signal.csv"
+        write_signal(path, ids, values)
+        assert path.read_bytes() == row_write_signal(ids, values)
+
     @pytest.mark.parametrize("n_ids, shape", [
         (3, (2, 1)), (1, (2,)), (0, (1, 3)), (2, (2, 1, 1)), (1, ()),
         (2, (2, 0)), (0, (0, 0)),  # no column: a file load_signal rejects
@@ -572,6 +582,39 @@ class TestSignalFiles:
         # their joined text take under 2 MB, one block of rows under 1 MB.
         assert path.stat().st_size > 12 * 2**20
         assert peak < 4 * 2**20
+
+    def test_wide_rows_in_memory_bounded_by_the_block(self, tmp_path):
+        n, d = 10_000, 100
+        ids = [f"n{i}" for i in range(n)]
+        values = np.random.default_rng(0).random((n, d))
+        path = tmp_path / "signal.csv"
+        tracemalloc.start()
+        try:
+            write_signal(path, ids, values)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # a block holds a fixed number of values, not of rows: 2048 rows
+        # of 100 values would take about 35 MB
+        assert path.stat().st_size > 18 * 2**20
+        assert peak < 4 * 2**20
+
+    def test_long_id_among_many_rows_in_memory_bounded_by_the_block(
+            self, tmp_path):
+        n, d = 5_000, 7
+        ids = [f"n{i}" for i in range(n)]
+        ids[3_000] = "é" + "x" * 99_998 + "é"  # 100,000 characters
+        values = np.random.default_rng(0).random((n, d))
+        path = tmp_path / "signal.csv"
+        tracemalloc.start()
+        try:
+            write_signal(path, ids, values)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # a rows x longest-id layout would need 2048 x 100,000 bytes
+        assert peak < 4 * 2**20
+        assert path.read_bytes() == row_write_signal(ids, values)
 
     def test_many_rows_read_in_memory_bounded_by_the_file(self, tmp_path):
         n, d = 50_000, 7
