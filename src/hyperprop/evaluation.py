@@ -25,13 +25,17 @@ harness works in (fold, class block) units: for one fold, a block of
 classes is scored together as the columns of one signal matrix, with one
 propagation (or one batched Naive Bayes fit and score) and one
 column-wise metric pass.  Every column gets the value it would get alone.
-A unit compares the class positions of its known rows (the training
-folds, or the training fold) with its block once, which gives the seed
-or the Naive Bayes labels row-major, so no sparse product copies its
-dense operand; the metric's labels come from the same comparison on the
-ranked rows.  Only the other rows are ranked; while those are under half
-the nodes (classification), the last propagation layer or the Naive
-Bayes score runs on them alone, whatever the block width.  Units are
+A run sorts the nodes stably by (class, fold) once, and a unit reads each
+class's known nodes (those of the training folds, or of the training
+fold) as slices of that order: it sets True over them in a zeroed
+row-major matrix, which is the seed or gives the Naive Bayes labels, so
+no sparse product copies its dense operand.  The ranked rows are the
+other ones; in classification they are one fold's nodes, a slice of the
+nodes sorted stably by fold once per run, and so ascending.  The
+metric's labels compare the ranked rows' class positions with the
+block.  While the ranked rows are under half the nodes
+(classification), the last propagation layer or the Naive Bayes score
+runs on them alone, whatever the block width.  Units are
 independent: the harness can run them on ``n_jobs`` threads, and
 results are identical for any worker count and block size.  The workers
 share one memory budget, ``_BLOCK_BYTES``: a block holds as many classes
@@ -61,7 +65,11 @@ divides by the edge degree and hands the result to :func:`propagate` as
 ``edge_means=``.  A unit's counts are its ``n_edges x block`` edge
 averages, the array the gather would make, whatever the class count.
 Float64 sums 0/1 values exactly, so this equals the gather bit for bit.
-``column`` and ``symmetric`` get the boolean seed as is and gather it.
+Past that, ``row`` reads only the seed's shape, so its units build no
+seed and pass the zero-byte read-only view
+``np.broadcast_to(np.False_, (n_nodes, block))``; ``alpha`` gets the
+seed for its residual.  ``column`` and ``symmetric`` get the boolean
+seed as is and gather it.
 """
 
 from __future__ import annotations
@@ -71,6 +79,7 @@ import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from numbers import Real
+from typing import NamedTuple
 
 import numpy as np
 
@@ -91,7 +100,8 @@ METHODS = ("propagation", "naive-bayes")
 # 16k-node graph (2 vCPUs, 2 MiB L2) classification ran 0.39 s at 1 MiB (8
 # columns), 0.31 s at 2 MiB and 0.28 s at 3 MiB (24 columns), one worker.  At
 # 3 MiB its 40 classes run as 20 + 20, and the 3-layer harness allocates
-# at most 4.6 MiB there (5.4 MiB as 24 + 16), under the 8.5 MiB that loading
+# at most 4.5 MiB there for row (tracemalloc, seed 3; 7.2 MiB for alpha,
+# which holds its seed and a residual), under the 8.5 MiB that loading
 # the graph peaks at; the process's peak RSS held at 70 MB up to 5 MiB with
 # 24 + 16, and wider blocks save less and hold more.  Two workers with a full
 # 3 MiB each raised Naive Bayes retrieval's peak RSS by about 7 MB (12.5k
@@ -288,60 +298,99 @@ def _skip_reasons(sizes, fold, task) -> list:
     return reasons
 
 
-def _grouped_edges(h, group, sizes):
-    """Every incidence's edge id, ordered stably by its node's ``group``,
-    and where each group starts; ``sizes`` counts each group's nodes.
+class _Grouping(NamedTuple):
+    """A run's node orders, read-only and shared by every unit.
+
+    ``order`` holds the nodes stably by (class, fold) group, class
+    position ``c`` and fold ``f`` making group ``c * k + f``, and group
+    ``g``'s nodes are ``order[starts[g]:starts[g + 1]]``.  ``by_fold``
+    and ``fold_starts`` hold them by fold alone (classification only),
+    and ``edges``/``edge_starts`` every incidence's edge id in ``order``
+    (``row`` and ``alpha`` only)."""
+
+    order: np.ndarray
+    starts: np.ndarray
+    by_fold: np.ndarray | None
+    fold_starts: np.ndarray | None
+    edges: np.ndarray | None
+    edge_starts: np.ndarray | None
+
+
+def _ordered(keys, n_groups):
+    """Indices ordered stably by ``keys`` in ``[0, n_groups)``, and
+    where each key's run starts, both read-only."""
+    order = np.argsort(keys, kind="stable")
+    starts = np.concatenate(
+        ([0], np.cumsum(np.bincount(keys, minlength=n_groups))))
+    order.setflags(write=False)
+    starts.setflags(write=False)
+    return order, starts
+
+
+def _grouped_edges(h, order, starts):
+    """Every incidence's edge id, its node taken in ``order``, and where
+    the incidences of each node group (starting at ``starts``) start.
     The ids are read from ``H``'s CSR arrays, without its values."""
-    order = np.argsort(group, kind="stable")
     ptr = h.node_edge_matrix.indptr
     degree = h.node_degree[order]
     ends = np.cumsum(degree, dtype=ptr.dtype)
     # an incidence's position in H.indices is its node's start there plus
     # its offset from its node's start in the grouped order
     take = np.repeat(ptr[order] - (ends - degree), degree)
-    del order
     take += np.arange(h.nnz, dtype=take.dtype)
-    firsts = np.concatenate(([0], np.cumsum(sizes)))  # each group's node
-    starts = np.concatenate(([0], ends))[firsts]
-    return h.node_edge_matrix.indices[take], starts
+    edges = h.node_edge_matrix.indices[take]
+    edge_starts = np.concatenate(([0], ends))[starts]
+    edges.setflags(write=False)
+    edge_starts.setflags(write=False)
+    return edges, edge_starts
 
 
-def _score_block(h, class_of, folds, fold, block, task, grouped=None):
+def _score_block(h, class_of, folds, fold, block, task, grouping):
     """The metric per class of ``block`` (class positions) in ``fold``,
     ranking every row but the known ones: the other folds in
-    classification, the fold itself in retrieval.  ``grouped``, if given,
-    is :func:`_grouped_edges`' result for the (class, fold) groups, from
-    which the seed's first edge averages are counted."""
+    classification, the fold itself in retrieval.  Each class's known
+    nodes are read from ``grouping`` (a :class:`_Grouping`), and so are
+    the seed's first edge averages when it holds the edge ids."""
     k = task.n_folds
     if task.task == "retrieval":
-        known, spans = folds == fold, [(fold, fold + 1)]
-    else:
-        known, spans = folds != fold, [(0, fold), (fold + 1, k)]
-    ranked = np.flatnonzero(~known)
+        ranked, spans = np.flatnonzero(folds != fold), [(fold, fold + 1)]
+    else:  # ascending: the fold's nodes by a stable sort
+        ranked = grouping.by_fold[grouping.fold_starts[fold]:
+                                  grouping.fold_starts[fold + 1]]
+        spans = [(0, fold), (fold + 1, k)]
     # a row copy of H pays off for one fold's rows, not for k - 1 folds'; at
     # width 1 too: on a 128k-node graph, 1-layer row and symmetric runs and
     # Naive Bayes runs were 10-20% faster with it than scoring every row
     nodes = ranked if 2 * ranked.size < h.n_nodes else None
-    # row-major, so no sparse product copies it
-    seed = np.where(known, class_of, -1)[:, None] == block
+    firsts = np.multiply(block, k)  # each class's group of fold 0
+    counted = task.method == "propagation" and grouping.edges is not None
+    if counted and task.propagation.variant == "row":
+        # only the alpha residual reads a counted unit's seed
+        seed = np.broadcast_to(np.False_, (h.n_nodes, len(block)))
+    else:  # True over each class's known groups, row-major
+        order, starts = grouping.order, grouping.starts
+        seed = np.zeros((h.n_nodes, len(block)), dtype=bool)
+        for col, first in enumerate(firsts):
+            for a, b in spans:
+                seed[order[starts[first + a]:starts[first + b]], col] = True
     if task.method == "propagation":
         t0 = time.perf_counter()
         means = None
-        if grouped is not None:  # each class's count over its known folds
-            edges, starts = grouped
+        if counted:  # each class's count over its known folds
+            edges, edge_starts = grouping.edges, grouping.edge_starts
             means = np.empty((h.n_edges, len(block)))
-            for col, first in enumerate(np.multiply(block, k)):
+            for col, first in enumerate(firsts):
                 means[:, col] = sum(np.bincount(
-                    edges[starts[first + a]:starts[first + b]],
+                    edges[edge_starts[first + a]:edge_starts[first + b]],
                     minlength=h.n_edges) for a, b in spans)
             means /= h.edge_degree[:, None]
         scores = propagate(h, seed, task.propagation, nodes=nodes,
                            edge_means=means)
         micros = (time.perf_counter() - t0) * 1e6
     else:
-        # on known rows the seed is the class indicator
-        if task.task == "classification":
-            train = np.where(known[:, None], seed, np.int8(-1))
+        if task.task == "classification":  # the seed on known rows
+            train = seed.astype(np.int8)
+            train[ranked] = -1
         else:
             train = np.where(seed, np.int8(1), np.int8(-1))
             for col, class_pos in enumerate(block):
@@ -395,14 +444,16 @@ def _run(h: Hypergraph, labels, task: TaskSpec, dataset_name, class_names,
     k = task.n_folds
     folds = assign_folds(h.n_nodes, k, task.seed).folds
     # the run's one grouping: nodes by (class, fold)
-    group = class_of * k + folds
-    sizes = np.bincount(group, minlength=present.size * k)
-    grouped = None
+    order, starts = _ordered(class_of * k + folds, present.size * k)
+    sizes = np.diff(starts).reshape(present.size, k)
+    by_fold = fold_starts = edges = edge_starts = None
+    if task.task == "classification":
+        by_fold, fold_starts = _ordered(folds, k)
     if (task.method == "propagation"
             and task.propagation.variant in _GATHER_FIRST):
-        grouped = _grouped_edges(h, group, sizes)
-    del group
-    sizes = sizes.reshape(present.size, k)
+        edges, edge_starts = _grouped_edges(h, order, starts)
+    grouping = _Grouping(order, starts, by_fold, fold_starts, edges,
+                         edge_starts)
     width = max(1, _BLOCK_BYTES // (8 * h.n_nodes * n_jobs))
 
     outcomes = {}  # (class_pos, fold) -> (value, micros) or skip reason
@@ -429,7 +480,7 @@ def _run(h: Hypergraph, labels, task: TaskSpec, dataset_name, class_names,
             if i is None:
                 return
             results[i] = _score_block(h, class_of, folds, *units[i], task,
-                                      grouped)
+                                      grouping)
 
     # one task per helper, not a future per unit, whose count grows with the
     # classes; the calling thread is a worker too, which kept Naive Bayes

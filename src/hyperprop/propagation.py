@@ -218,11 +218,13 @@ def propagate(h: Hypergraph, x, config: PropagationConfig,
     edge_means : array, optional
         The first layer's edge averages ``B^-1 H^T x``, with the shape of
         ``edge_average(h, x)``, for the ``row`` and ``alpha`` variants,
-        whose layer starts with them.  The first gather is then skipped:
-        ``x`` is only shape-checked, and converted to float only for the
-        alpha residual.  For a 0/1 ``x`` they are member counts divided
-        by the edge degree, which a caller may count without a product;
-        float64 sums 0/1 values exactly, so the result is bitwise equal.
+        whose layer starts with them.  The first gather is then skipped,
+        and ``x`` gives the shape: only the alpha residual reads its
+        values, so for ``row`` any array of that shape serves, such as
+        the read-only ``np.broadcast_to(np.False_, x.shape)``.  For a 0/1
+        ``x`` the averages are member counts divided by the edge degree,
+        which a caller may count without a product; float64 sums 0/1
+        values exactly, so the result is bitwise equal.
 
     Raises
     ------

@@ -317,17 +317,26 @@ class TestDeterminism:
                 ]
                 assert docs[0] == docs[1]
 
+    @pytest.mark.parametrize("task,method,variant", [
+        ("retrieval", "naive-bayes", "row"),
+        ("classification", "propagation", "row"),
+        ("classification", "propagation", "alpha"),
+        ("classification", "naive-bayes", "row")])
     def test_workers_score_each_unit_once_under_frequent_switches(
-            self, monkeypatch):
-        # more workers than cores take one-column units from one queue: a
-        # unit taken twice or never, or a result stored in another unit's
-        # slot, shows in the calls or the report bytes
+            self, monkeypatch, task, method, variant):
+        # more workers than cores take one-column units from one queue and
+        # read the run's shared grouping: a unit taken twice or never, or a
+        # result stored in another unit's slot, shows in the calls or the
+        # report bytes
         h, labels = multiclass_instance()
         monkeypatch.setattr(evaluation, "_BLOCK_BYTES", 8 * h.n_nodes)
-        spec = TaskSpec(task="retrieval", method="naive-bayes", n_folds=5,
-                        top_k=12, seed=4)
-        want = canonical_json_bytes(report_to_dict(
-            run_retrieval(h, labels, spec)))
+        spec = TaskSpec(task=task, method=method, n_folds=5, top_k=12,
+                        seed=4, propagation=PropagationConfig(
+                            variant=variant, layers=2,
+                            alpha=0.3 if variant == "alpha" else None))
+        runner = run_classification if task == "classification" \
+            else run_retrieval
+        want = canonical_json_bytes(report_to_dict(runner(h, labels, spec)))
         calls = []
         original = evaluation._score_block
 
@@ -341,7 +350,7 @@ class TestDeterminism:
         try:
             for _ in range(5):
                 calls.clear()
-                got = run_retrieval(h, labels, spec, n_jobs=8)
+                got = runner(h, labels, spec, n_jobs=8)
                 assert len(calls) == len(set(calls)) == len(got.cells)
                 assert canonical_json_bytes(report_to_dict(got)) == want
         finally:
@@ -415,32 +424,106 @@ class TestBatchedHarness:
             assert len(micros) == 1 and micros.pop() > 0
 
 
+LAYOUT_CASES = [(task, "propagation", variant)
+                for task in ("classification", "retrieval")
+                for variant in VARIANTS]
+LAYOUT_CASES += [(task, "naive-bayes", "row")
+                 for task in ("classification", "retrieval")]
+
+
+def unit_seeds(h, labels, spec, monkeypatch):
+    """Run ``spec`` on one worker and return, per unit, its fold, block,
+    and the ``x`` handed to ``propagate`` or the labels handed to
+    ``fit_naive_bayes``, each with the keyword arguments of that call."""
+    units, current = [], []
+    original = evaluation._score_block
+
+    def score(h, class_of, folds, fold, block, *args):
+        current[:] = [fold, list(block)]
+        return original(h, class_of, folds, fold, block, *args)
+
+    def spy(fn):
+        def wrapped(h, x, *args, **kwargs):
+            units.append((*current, x, args, kwargs))
+            return fn(h, x, *args, **kwargs)
+        return wrapped
+
+    monkeypatch.setattr(evaluation, "_score_block", score)
+    monkeypatch.setattr(evaluation, "propagate", spy(evaluation.propagate))
+    monkeypatch.setattr(evaluation, "fit_naive_bayes",
+                        spy(evaluation.fit_naive_bayes))
+    runner = run_classification if spec.task == "classification" \
+        else run_retrieval
+    runner(h, labels, spec)
+    return units
+
+
+def layout_spec(task, method, variant):
+    return TaskSpec(task=task, method=method, n_folds=5, top_k=12, seed=4,
+                    propagation=PropagationConfig(
+                        variant=variant, layers=2,
+                        alpha=0.3 if variant == "alpha" else None))
+
+
 class TestBlockLayout:
-    @pytest.mark.parametrize("task,method", [
-        (task, method) for task in ("classification", "retrieval")
-        for method in ("propagation", "naive-bayes")])
+    @pytest.mark.parametrize("task,method,variant", LAYOUT_CASES)
     def test_blocks_reach_the_method_row_major(self, monkeypatch, task,
-                                               method):
-        # a column-major block makes every sparse product copy its operand
+                                               method, variant):
+        # a column-major block makes every sparse product copy its operand;
+        # a counted row unit reads only x's shape, so it builds no seed and
+        # passes a zero-byte read-only view
         h, labels = multiclass_instance()
         monkeypatch.setattr(evaluation, "_BLOCK_BYTES", 8 * h.n_nodes * 3)
-        shapes = []
-
-        def spy(fn):
-            def wrapped(h, x, *args, **kwargs):
+        units = unit_seeds(h, labels, layout_spec(task, method, variant),
+                           monkeypatch)
+        counted = method == "propagation" and variant in ("row", "alpha")
+        for _, block, x, _, kwargs in units:
+            assert x.shape == (h.n_nodes, len(block))
+            assert (kwargs.get("edge_means") is not None) == counted
+            if counted and variant == "row":
+                assert x.strides == (0, 0) and not x.flags.writeable
+            else:
                 assert x.flags.c_contiguous
-                shapes.append(x.shape)
-                return fn(h, x, *args, **kwargs)
-            return wrapped
+        assert any(len(block) > 1 for _, block, *_ in units)
 
-        monkeypatch.setattr(evaluation, "propagate", spy(evaluation.propagate))
-        monkeypatch.setattr(evaluation, "fit_naive_bayes",
-                            spy(evaluation.fit_naive_bayes))
-        runner = run_classification if task == "classification" \
-            else run_retrieval
-        runner(h, labels, TaskSpec(task=task, method=method, n_folds=5,
-                                   top_k=12, seed=4))
-        assert any(shape[1] > 1 for shape in shapes)
+    @pytest.mark.parametrize("task,method,variant", [
+        case for case in LAYOUT_CASES if case[1:] != ("propagation", "row")])
+    def test_seeds_equal_the_comparison_of_class_positions(
+            self, monkeypatch, task, method, variant):
+        # the seed is set over each class's known (class, fold) groups; the
+        # comparison it replaced is the oracle
+        h, labels = multiclass_instance()
+        monkeypatch.setattr(evaluation, "_BLOCK_BYTES", 8 * h.n_nodes * 3)
+        spec = layout_spec(task, method, variant)
+        units = unit_seeds(h, labels, spec, monkeypatch)
+        class_of = np.unique(labels, return_inverse=True)[1]
+        folds = assign_folds(h.n_nodes, spec.n_folds, spec.seed).folds
+        assert units
+        for fold, block, x, _, _ in units:
+            known = folds == fold if task == "retrieval" else folds != fold
+            want = np.where(known, class_of, -1)[:, None] == block
+            if method == "propagation":
+                assert x.dtype == bool and np.array_equal(x, want)
+            elif task == "classification":
+                assert np.array_equal(x, np.where(known[:, None], want, -1))
+            else:  # as many drawn negatives as ranked rows, off the seed
+                assert np.array_equal(x == 1, want)
+                assert not (x == 0)[want].any()
+                assert ((x == 0).sum(axis=0) == (~known).sum()).all()
+
+    @pytest.mark.parametrize("variant", VARIANTS)
+    def test_classification_ranks_its_test_fold_in_node_order(
+            self, monkeypatch, variant):
+        # a slice of the nodes sorted stably by fold, once per run
+        h, labels = multiclass_instance()
+        monkeypatch.setattr(evaluation, "_BLOCK_BYTES", 8 * h.n_nodes * 3)
+        spec = layout_spec("classification", "propagation", variant)
+        units = unit_seeds(h, labels, spec, monkeypatch)
+        folds = assign_folds(h.n_nodes, spec.n_folds, spec.seed).folds
+        assert {fold for fold, *_ in units} == set(range(spec.n_folds))
+        for fold, _, _, _, kwargs in units:
+            assert np.array_equal(kwargs["nodes"],
+                                  np.flatnonzero(folds == fold))
 
     @pytest.mark.parametrize("n_jobs,width", [(1, 4), (2, 2), (3, 1), (8, 1)])
     def test_workers_share_the_block_budget(self, monkeypatch, n_jobs, width):

@@ -358,6 +358,44 @@ class TestEdgeMeans:
                         PropagationConfig(), edge_means=[[0.5], [0.0]])
         np.testing.assert_array_equal(out, [[0.5], [0.25], [0.0]])
 
+    @pytest.mark.parametrize("nodes", [None, [5, 0, 299, 5, 17]])
+    @pytest.mark.parametrize("ndim", [1, 2])
+    @pytest.mark.parametrize("layers", [1, 3])
+    def test_row_takes_a_placeholder_for_x(self, ndim, nodes, layers):
+        # the harness passes a zero-byte read-only view, not a seed
+        h = random_hypergraph(300, 60, 1500, seed=0)
+        x = np.random.default_rng(0).random((h.n_nodes, 4)) < 0.3
+        x = x[:, 0] if ndim == 1 else x
+        cfg = PropagationConfig(layers=layers)
+        placeholder = np.broadcast_to(np.False_, x.shape)
+        assert not placeholder.flags.writeable
+        got = propagate(h, placeholder, cfg, nodes=nodes,
+                        edge_means=edge_average(h, x))
+        assert np.array_equal(got, propagate(h, x, cfg, nodes=nodes))
+
+    @pytest.mark.parametrize("shape", [(301, 4), (299, 4), (300, 3), (300,),
+                                       (300, 4, 1)])
+    def test_placeholder_of_another_shape_rejected(self, shape):
+        h = random_hypergraph(300, 60, 1500, seed=0)
+        means = edge_average(h, np.ones((h.n_nodes, 4)))
+        with pytest.raises(ShapeError):
+            propagate(h, np.broadcast_to(np.False_, shape),
+                      PropagationConfig(), edge_means=means)
+
+    @pytest.mark.parametrize("ndim", [1, 2])
+    def test_alpha_still_reads_x(self, ndim):
+        # the residual blends x in, so a placeholder changes the result
+        h = random_hypergraph(300, 60, 1500, seed=0)
+        x = np.random.default_rng(0).random((h.n_nodes, 4)) < 0.3
+        x = x[:, 0] if ndim == 1 else x
+        cfg = PropagationConfig(variant="alpha", alpha=0.3, layers=2)
+        means = edge_average(h, x)
+        want = propagate(h, x, cfg)
+        assert np.array_equal(propagate(h, x, cfg, edge_means=means), want)
+        got = propagate(h, np.broadcast_to(np.False_, x.shape), cfg,
+                        edge_means=means)
+        assert not np.array_equal(got, want)
+
     @pytest.mark.parametrize("cfg", [
         PropagationConfig(layers=2),
         PropagationConfig(variant="alpha", alpha=0.3, layers=2)])
