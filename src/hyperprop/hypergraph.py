@@ -6,8 +6,11 @@ binary incidence matrix ``H`` of shape ``(n_nodes, n_edges)`` with
 ``H[i, j] = 1`` iff node ``i`` belongs to hyperedge ``j``.  A
 :class:`Hypergraph` stores exactly ``H``, as a scipy CSR matrix (node ->
 incident edges), and exposes ``H^T`` as ``H``'s CSC view, which shares
-its arrays: each incidence is stored once.  Its index arrays use the
-dtype scipy picks, int32 whenever the sizes fit.
+its arrays: each incidence is stored once.  The CSR arrays come from
+one sort of the int64 keys ``node * n_edges + edge``, with repeats
+dropped, not from scipy's COO conversion; their index dtype is the one
+scipy picks, int32 whenever the sizes fit.  Index arrays that are not
+integers, such as floats or booleans, are refused, not truncated.
 
 Instances are deeply immutable (attributes cannot be rebound and every
 array, values included, is read-only with no writable array beneath it;
@@ -16,8 +19,10 @@ threads.
 
 :func:`build_hypergraph` interns in-memory pairs of hashable ids with one
 dict pass per side.  File loaders intern ids from the file bytes instead
-and pass :class:`InternedPairs`; either way a node universe is merged
-against the distinct node ids only.
+and pass :class:`InternedPairs`, whose node ids may already start with a
+node universe's (see :mod:`hyperprop.io`); otherwise a node universe is
+merged against the distinct node ids only, and with no universe the
+pairs' indices are used as they are.
 """
 
 from __future__ import annotations
@@ -102,8 +107,10 @@ class Hypergraph:
     Raises
     ------
     ValueError
-        For an index outside ``[0, n_nodes)`` or ``[0, n_edges)`` (scipy's
-        check), or a hyperedge with no member node.
+        For index arrays that are not 1-D integer arrays of equal length,
+        an index outside ``[0, n_nodes)`` or ``[0, n_edges)``, sizes with
+        ``n_nodes * n_edges >= 2**63`` (the int64 keys of the CSR sort
+        would overflow), or a hyperedge with no member node.
     """
 
     node_edge_matrix: sp.csr_matrix
@@ -114,16 +121,26 @@ class Hypergraph:
     inv_sqrt_node_degree: np.ndarray  # D^-1/2 as a column
 
     def __init__(self, nodes, edges, n_nodes: int, n_edges: int):
-        h = sp.csr_matrix((np.ones(len(nodes)), (nodes, edges)),
-                          shape=(n_nodes, n_edges))
-        h.sum_duplicates()
-        # arrays of exactly nnz entries that own their memory: scipy's are
-        # views over writable arrays, longer if pairs were summed
-        h.data = np.ones(h.nnz)
-        if h.indices.base is not None:
-            h.indices = h.indices.copy()
-        for arr in (h.data, h.indices, h.indptr):
-            arr.setflags(write=False)
+        if int(n_nodes) * int(n_edges) >= 2**63:  # the keys below are int64
+            raise ValueError("n_nodes * n_edges must be below 2**63")
+        nodes = _check_indices(nodes, n_nodes, ValueError)
+        edges = _check_indices(edges, n_edges, ValueError)
+        if nodes.size != edges.size:
+            raise ValueError(f"{nodes.size} node, {edges.size} edge indices")
+        # one sort of the exact keys node * n_edges + edge: H in CSR order
+        key = np.multiply(nodes, n_edges, dtype=np.int64)
+        np.add(key, edges, out=key, casting="unsafe")
+        key.sort()
+        new = np.ones(key.size, dtype=bool)
+        np.not_equal(key[1:], key[:-1], out=new[1:])
+        rows, cols = np.divmod(key[new], n_edges)  # duplicate pairs collapse
+        del key, new
+        idx = (np.int32 if max(n_nodes, n_edges, nodes.size) < 2**31
+               else np.int64)  # scipy's choice: int32 while the sizes fit
+        indptr = np.r_[0, np.bincount(rows, minlength=n_nodes).cumsum()]
+        h = sp.csr_matrix(tuple(map(_read_only, (  # scipy keeps views of them
+            np.ones(cols.size), cols.astype(idx), indptr.astype(idx)))),
+            shape=(n_nodes, n_edges))
         edge_degree = np.bincount(h.indices, minlength=n_edges)
         if n_edges and edge_degree.min() < 1:
             raise ValueError("empty hyperedges are not allowed")
@@ -162,23 +179,24 @@ def _read_only(arr: np.ndarray) -> np.ndarray:
     return arr
 
 
-def _check_nodes(nodes, h: Hypergraph) -> np.ndarray:
-    """``nodes`` as a 1-D int64 array of node ids in ``[0, n_nodes)``.
+def _check_indices(indices, size: int, error=ShapeError) -> np.ndarray:
+    """``indices`` as a 1-D integer array of indices in ``[0, size)``.
 
-    Raises :class:`ShapeError` for any other shape, for a non-integer
-    array, such as a boolean mask (numpy would read it as ids 0 and 1),
-    and for an id outside the range (numpy would wrap a negative id or
-    raise ``IndexError``).
+    Raises ``error`` for any other shape, for a non-integer array, such
+    as a boolean mask (numpy would read it as indices 0 and 1) or floats
+    (which would be truncated), and for an index outside the range (numpy
+    would wrap a negative index or raise ``IndexError``).
     """
-    arr = np.asarray(nodes)
+    arr = np.asarray(indices)
     if arr.ndim != 1:
-        raise ShapeError(f"nodes must be 1-D, got {arr.ndim}-D")
-    if arr.size and arr.dtype.kind not in "iu":
-        raise ShapeError(f"node ids must be integers, got dtype {arr.dtype}")
-    arr = arr.astype(np.int64, copy=False)
-    bad = (arr < 0) | (arr >= h.n_nodes)
-    if bad.any():
-        raise ShapeError(f"node id {arr[bad][0]} outside [0, {h.n_nodes})")
+        raise error(f"indices must be 1-D, got {arr.ndim}-D")
+    if not arr.size:
+        return arr.astype(np.int64)  # an empty list is float64
+    if arr.dtype.kind not in "iu":
+        raise error(f"indices must be integers, got dtype {arr.dtype}")
+    if arr.min() < 0 or arr.max() >= size:
+        bad = arr[(arr < 0) | (arr >= size)][0]
+        raise error(f"index {bad} outside [0, {size})")
     return arr
 
 
@@ -187,8 +205,11 @@ class InternedPairs:
     """(node, edge) pairs given as indices into each side's distinct ids.
 
     Pair ``i`` is ``(node_ids[nodes[i]], edge_ids[edges[i]])``; each id
-    list holds distinct ids in first-appearance order, so its index arrays
-    number them by first appearance.  ``len()`` is the number of pairs.
+    list holds distinct ids, and ``len()`` is the number of pairs.
+    ``edge_ids`` are in first-appearance order.  So are ``node_ids``, or
+    they start with a node universe's distinct ids, in its order, and go
+    on with the ids first seen in the pairs: universe ids that no pair
+    uses become isolated nodes, with degree 0.
     """
 
     node_ids: list
@@ -235,7 +256,8 @@ def build_hypergraph(
         Identifiers interned (in the given order) before reading ``pairs``,
         so that nodes carrying labels but appearing in no incidence pair
         still exist, with degree 0.  Only the distinct node ids of
-        ``pairs`` are looked up in it.
+        ``pairs`` are looked up in it; with no universe nothing is looked
+        up.
 
     Returns
     -------
@@ -253,8 +275,9 @@ def build_hypergraph(
         raise EmptyGraphError("incidence stream contains no (node, edge) pairs")
     universe = () if node_universe is None else node_universe
     node_map = IdMap(chain(universe, pairs.node_ids))
+    nodes = (pairs.nodes if node_universe is None  # distinct ids: as they are
+             else node_map.lookup(pairs.node_ids)[pairs.nodes])
     edge_map = IdMap(pairs.edge_ids)
-    h = Hypergraph(node_map.lookup(pairs.node_ids)[pairs.nodes], pairs.edges,
-                   len(node_map), len(edge_map))
+    h = Hypergraph(nodes, pairs.edges, len(node_map), len(edge_map))
     return h, IdMaps(node_ids=node_map, edge_ids=edge_map)
 

@@ -9,9 +9,13 @@ column is interned by :func:`_intern_column`, which decides once: a column
 whose ids are all under 8 bytes and unpadded never becomes one Python
 object per row, as equal ids are grouped by sorting one exact 64-bit key
 per field and each distinct id is decoded once; any other id column is
-decoded, stripped by ``str.strip`` and grouped by a dict.  While a file
-is read, the reader holds one padded copy of its bytes plus two offsets
-per field, int32 while the copy is under 2 GiB and int64 above.
+decoded, stripped by ``str.strip`` and grouped by a dict.  A node universe
+of such ids, as a label file's ids usually are, is encoded into keys of
+the same kind and sorted with the incidence file's node column, so its
+ids come first, in its order, and only the node ids it lacks are decoded;
+no node id is looked up in a dict.  While a file is read, the reader
+holds one padded copy of its bytes plus two offsets per field, int32
+while the copy is under 2 GiB and int64 above.
 Signal files are written in blocks of whole rows, at most
 :data:`_WRITE_VALUES` values each, each block's values as one byte matrix
 that one pass turns into text: numpy formats zeros and the values of
@@ -157,15 +161,17 @@ class _Table:
         """The raw fields of column ``i``, one str per row."""
         return _decode(self._buf, *self._fields(i))
 
-    def ids(self, i):
+    def ids(self, i, universe=()):
         """Column ``i``'s identifiers, whitespace-stripped and interned.
 
-        Returns the distinct ids in first-appearance order and each row's
-        index into them, and rejects the first row with an empty id.
+        Returns the distinct ids in first-appearance order, each row's
+        index into them and ``universe``, or None once its ids lead the
+        distinct ids (see :func:`_intern_column`), and rejects the first
+        row with an empty id.
         """
-        ids, index, empty = _intern_column(self._buf, *self._fields(i))
+        empty, *ids = _intern_column(self._buf, *self._fields(i), universe)
         self.reject(empty, "empty identifier")
-        return ids, index
+        return ids
 
     def reject(self, row, message):
         """Fail at data row ``row`` unless an earlier row already fails.
@@ -324,35 +330,41 @@ def _whole_rows(line_end, k):
     return rows, rows * k + int(np.argmax(line_end[rows * k:]))
 
 
-def _intern_column(buf, starts, ends):
+def _intern_column(buf, starts, ends, universe=()):
     """The fields ``buf[starts[i]:ends[i]]``, stripped and interned.
 
-    Returns the distinct ids in first-appearance order, each field's index
-    into them and the row of the first empty id (the row count if none is).
-    While every field is under 8 bytes and none starts or ends with a byte
-    of a possible whitespace character, equal fields are grouped by sorting
-    one exact 64-bit key each, their bytes and length, and each distinct id
-    is decoded once; the index then has the offsets' dtype.  Any other
-    column is decoded, stripped and grouped by a dict.
+    Returns the row of the first empty id (the row count if none is), the
+    distinct ids in first-appearance order, each field's index into them
+    and ``universe`` (a sequence of ids), or None once the distinct ids
+    start with the universe's own.  While every field is under 8 bytes, equal
+    fields are grouped by sorting one exact 64-bit key each (see
+    :func:`_keys`), with the keys of a universe of short str ids ahead of
+    them (see :func:`_universe_ahead`).  Unless a distinct key then starts
+    or ends with a byte of a possible whitespace character, the ids are
+    the universe's distinct ids, in its order, then the ids first seen in
+    a field, each decoded once, and the index has the offsets' dtype.  Any
+    other column is decoded, stripped and grouped by a dict, and the
+    universe is left to the caller.
     """
     lens = ends - starts
-    full = lens > 0
-    if lens.max(initial=0) >= 8 or (
-            full & (_MAYBE_SPACE[buf[starts]] | _MAYBE_SPACE[buf[ends - 1]])
-            ).any():
+    if keyed := lens.max(initial=0) < 8:
+        empty = lens.size if lens.all() else int(np.argmin(lens))
+        key = _universe_ahead(universe, _keys(buf, starts, lens))
+        known = key.size - lens.size  # the universe's keys, if any
+        order = np.argsort(key)
+        key = key[order]
+        head = np.ones(key.size, dtype=bool)
+        np.not_equal(key[1:], key[:-1], out=head[1:])
+        # equal fields have equal keys, so test each distinct key's first
+        # and last byte; byte 7 is its length (and an empty one's last byte)
+        kept = key[head].view(np.uint8).reshape(-1, 8)
+        last = kept[np.arange(len(kept)), kept[:, 7].astype(np.intp) - 1]
+        keyed = not (_MAYBE_SPACE[kept[:, 0]] | _MAYBE_SPACE[last]).any()
+        del key, kept, last
+    if not keyed:
         texts = [text.strip() for text in _decode(buf, starts, ends)]
-        return *_intern(texts), texts.index("") if "" in texts else len(texts)
-    words = np.ndarray((buf.size - _PAD + 1,), dtype="<u8", buffer=buf,
-                       strides=(1,))  # the 8 bytes from each position on
-    key = words[starts]
-    key &= _LOW[lens]
-    key.view(np.uint8).reshape(-1, 8)[:, 7] = lens  # the top byte is 0
-    del lens
-    order = np.argsort(key)
-    key = key[order]
-    head = np.ones(key.size, dtype=bool)
-    np.not_equal(key[1:], key[:-1], out=head[1:])
-    del key
+        empty = texts.index("") if "" in texts else len(texts)
+        return empty, *_intern(texts), universe or None
     first = (np.minimum.reduceat(order, np.flatnonzero(head)) if order.size
              else order)  # each group's first field
     group = np.empty(order.size, dtype=starts.dtype)
@@ -361,8 +373,42 @@ def _intern_column(buf, starts, ends):
     rank = np.empty(order.size, dtype=group.dtype)
     rank[order] = np.arange(order.size)
     first = first[order]
-    return (_decode(buf, starts[first], ends[first]), rank[group],
-            full.size if full.all() else int(np.argmin(full)))
+    seen = int(np.searchsorted(first, known))  # the universe's groups
+    ids = (list(universe[:seen]) if seen == known  # all distinct
+           else [universe[i] for i in first[:seen].tolist()])
+    first = first[seen:] - known
+    return (empty, ids + _decode(buf, starts[first], ends[first]),
+            rank[group[known:]], universe if known < len(universe) else None)
+
+
+def _keys(buf, starts, lens):
+    """One exact 64-bit key per field of under 8 bytes.
+
+    The field ``buf[starts[i]:starts[i] + lens[i]]`` keys as its bytes,
+    zero-filled, with its length in the top byte.
+    """
+    words = np.ndarray((buf.size - _PAD + 1,), dtype="<u8", buffer=buf,
+                       strides=(1,))  # the 8 bytes from each position on
+    key = words[starts] & _LOW[lens]
+    key.view(np.uint8).reshape(-1, 8)[:, 7] = lens  # the top byte is 0
+    return key
+
+
+def _universe_ahead(universe, key):
+    """``key`` after the :func:`_keys` of ``universe``'s ids.
+
+    The ids are encoded once.  Returns ``key`` alone unless every id is a
+    str of under 8 UTF-8 bytes with no newline.
+    """
+    try:
+        data = ("\n".join(universe) + "\n").encode("utf-8")
+    except (TypeError, UnicodeEncodeError):
+        return key
+    buf = np.frombuffer(data + bytes(_PAD), dtype=np.uint8)
+    ends = np.flatnonzero(buf == ord("\n"))
+    lens = np.diff(ends, prepend=-1) - 1
+    fits = ends.size == len(universe) and lens.max(initial=0) < 8
+    return np.hstack((_keys(buf, ends - lens, lens), key)) if fits else key
 
 
 def _decode(buf, starts, ends):
@@ -394,9 +440,12 @@ def _decode(buf, starts, ends):
     return texts
 
 
-def _read_ids(path, columns):
+def _read_ids(path, columns, universe=()):
+    """Each of ``columns`` interned by :meth:`_Table.ids`, the first
+    ahead of ``universe``."""
     table = _Table(path)
-    ids = [table.ids(i) for i in table.indexes(columns)]
+    ids = [table.ids(i, lead) for i, lead in zip(table.indexes(columns),
+                                                 (universe, ()))]
     table.done()
     return ids
 
@@ -412,12 +461,15 @@ def load_incidence(path, node_universe=None) -> tuple[Hypergraph, IdMaps]:
 
     Duplicate rows collapse (incidence is binary).  ``node_universe``, an
     optional iterable of node identifiers, is interned ahead of the file
-    contents so label-only isolated nodes exist with degree 0.
+    contents so label-only isolated nodes exist with degree 0: in the
+    node column's key sort when its ids and the column's allow (see
+    :func:`_intern_column`), by :func:`build_hypergraph` otherwise.
     """
-    (node_ids, nodes), (edge_ids, edges) = _read_ids(path,
-                                                     ("nodeId", "edgeId"))
+    universe = () if node_universe is None else list(node_universe)
+    (node_ids, nodes, universe), (edge_ids, edges, _) = _read_ids(
+        path, ("nodeId", "edgeId"), universe)
     return build_hypergraph(InternedPairs(node_ids, nodes, edge_ids, edges),
-                            node_universe=node_universe)
+                            node_universe=universe)
 
 
 def read_labels(path):
@@ -430,7 +482,8 @@ def read_labels(path):
     lexicographic one otherwise.  A repeated row is ignored; a node
     labeled twice with different values raises :class:`ParseError`.
     """
-    (node_ids, nodes), (values, labels) = _read_ids(path, ("nodeId", "label"))
+    (node_ids, nodes, _), (values, labels, _) = _read_ids(
+        path, ("nodeId", "label"))
     firsts = labels[_first_rows(nodes)]
     clash = np.flatnonzero(firsts[nodes] != labels)
     if clash.size:
@@ -501,7 +554,7 @@ def load_signal(path):
     value_cols = [i for i in range(len(table.header)) if i != node_col]
     if not value_cols:
         raise MissingColumnError(f"{path}: no signal columns besides nodeId")
-    ids, index = table.ids(node_col)
+    ids, index, _ = table.ids(node_col)
     repeats = np.flatnonzero(index != np.arange(index.size))
     if repeats.size:
         row = int(repeats[0])  # every row before it holds a new id

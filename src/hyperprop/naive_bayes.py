@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import MissingClassError, ShapeError
-from .hypergraph import Hypergraph, _check_nodes
+from .hypergraph import Hypergraph, _check_indices
 
 
 @dataclass(frozen=True, eq=False)
@@ -144,7 +144,7 @@ def naive_bayes_log_odds(model: NaiveBayesModel, h: Hypergraph,
     prior = model.class_log_prior[1] - model.class_log_prior[0]
     incidence = h.node_edge_matrix
     if nodes is not None:
-        incidence = incidence[_check_nodes(nodes, h)]
+        incidence = incidence[_check_indices(nodes, h.n_nodes)]
     scores = incidence @ ratio
     scores += prior
     return scores

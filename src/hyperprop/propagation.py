@@ -51,7 +51,7 @@ from numbers import Real
 import numpy as np
 
 from .errors import InvalidConfigError, ShapeError
-from .hypergraph import Hypergraph, _check_nodes
+from .hypergraph import Hypergraph, _check_indices
 
 VARIANTS = ("row", "column", "symmetric", "alpha")
 
@@ -252,7 +252,7 @@ def propagate(h: Hypergraph, x, config: PropagationConfig,
     if edge_means is None or residual:
         x2 = _as_float(x2, "node")
     if nodes is not None:
-        nodes = _check_nodes(nodes, h)
+        nodes = _check_indices(nodes, h.n_nodes)
     out_scale = None if out_name is None else getattr(h, out_name)
     in_scale = None if in_name is None else getattr(h, in_name)
     scatter = h.node_edge_matrix

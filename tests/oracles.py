@@ -15,6 +15,8 @@ the public single-column functions.
 pair and the structure built from Python sets into plain CSR lists,
 without the engine's ``Hypergraph``.  :func:`row_write_signal` is the
 reference for the block writer: one ``csv.writer`` row per node.
+:func:`scipy_csr` is the reference for the CSR build: scipy's COO to CSR
+conversion, as ``Hypergraph`` once built ``H``.
 """
 
 import csv
@@ -24,6 +26,7 @@ import time
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
+import scipy.sparse as sp
 from scipy.stats import rankdata
 
 from hyperprop import (EmptyGraphError, MetricCell, MetricReport,
@@ -370,6 +373,19 @@ def row_load_incidence(path, node_universe=()):
     arrays = (*csr(incidences, len(node_index)),
               *csr({(j, i) for i, j in incidences}, len(edge_index)))
     return arrays, tuple(node_index), tuple(edge_index)
+
+
+def scipy_csr(nodes, edges, n_nodes, n_edges):
+    """``(indptr, indices, data)`` of ``H`` by scipy's COO to CSR route.
+
+    Pair ``k`` sets ``H[nodes[k], edges[k]] = 1``: scipy converts the
+    pairs to CSR and sums the repeated ones, and the sums are set back to
+    ones.  The index dtype is the one scipy picks for these sizes.
+    """
+    h = sp.csr_matrix((np.ones(len(nodes)), (nodes, edges)),
+                      shape=(n_nodes, n_edges))
+    h.sum_duplicates()
+    return h.indptr, h.indices, np.ones(h.nnz)
 
 
 def row_read_labels(path):

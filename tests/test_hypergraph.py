@@ -4,11 +4,13 @@ from concurrent.futures import ThreadPoolExecutor
 import numpy as np
 import pytest
 import scipy.sparse as sp
+from hypothesis import given, settings, strategies as st
 
 from hyperprop import (EmptyGraphError, Hypergraph, IdMap, PropagationConfig,
                        build_hypergraph, fit_naive_bayes,
                        naive_bayes_log_odds, node_average, propagate)
 
+from oracles import scipy_csr
 from util import bernoulli_hypergraph, incidence_arrays, random_hypergraph
 
 PAIRS = [("a", "e1"), ("b", "e1"), ("b", "e2"), ("c", "e2")]
@@ -106,6 +108,65 @@ class TestBuild:
             Hypergraph([0, -1], [0, 1], 2, 2)  # negative node index
         with pytest.raises(ValueError):
             Hypergraph([0, 1], [0, 2], 2, 2)   # edge index out of range
+
+    @pytest.mark.parametrize("nodes,edges", [
+        ([0.7, 1.2], [0, 1]),  # truncated to nodes 0 and 1
+        ([0, 1], [0, 1.9]),  # truncated to edges 0 and 1
+        ([True, False], [0, 1]),  # read as nodes 1 and 0
+        ([0, 1], np.array([False, True])),  # read as edges 0 and 1
+    ])
+    def test_constructor_rejects_non_integer_indices(self, nodes, edges):
+        with pytest.raises(ValueError, match="must be integers"):
+            Hypergraph(nodes, edges, 2, 2)
+
+    @pytest.mark.parametrize("n_nodes,n_edges", [(2**62, 2), (2**61 + 1, 4),
+                                                 (3, 2**62)])
+    def test_constructor_rejects_grid_past_int64_keys(self, n_nodes, n_edges):
+        # node * n_edges + edge would overflow int64
+        with pytest.raises(ValueError, match=r"n_nodes \* n_edges must be "
+                                             r"below 2\*\*63"):
+            Hypergraph([0], [0], n_nodes, n_edges)
+
+    def test_constructor_rejects_unequal_lengths(self):
+        # a single edge index would otherwise broadcast over every node
+        with pytest.raises(ValueError, match="2 node, 1 edge indices"):
+            Hypergraph([0, 1], [0], 2, 1)
+
+
+@st.composite
+def incidence_pairs(draw):
+    """Index pairs in any order, repeats and isolated nodes included."""
+    n_nodes = draw(st.integers(0, 12))
+    n_edges = draw(st.integers(0, 8))
+    size = draw(st.integers(0, 40)) if n_nodes and n_edges else 0
+    nodes = draw(st.lists(st.integers(0, max(n_nodes - 1, 0)),
+                          min_size=size, max_size=size))
+    edges = draw(st.lists(st.integers(0, max(n_edges - 1, 0)),
+                          min_size=size, max_size=size))
+    dtype = draw(st.sampled_from([np.int64, np.int32, np.uint8, np.uint64]))
+    return (np.array(nodes, dtype=dtype), np.array(edges, dtype=dtype),
+            n_nodes, n_edges)
+
+
+class TestCsrOracle:
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(case=incidence_pairs())
+    def test_csr_arrays_equal_scipys_route(self, case):
+        """The CSR arrays equal scipy's COO to CSR conversion with repeats
+        summed: the same values and dtypes, whatever the order of the
+        pairs; a graph with an empty edge is refused."""
+        want = scipy_csr(*case)
+        if (np.bincount(want[1], minlength=case[3]) == 0).any():
+            with pytest.raises(ValueError, match="empty hyperedges"):
+                Hypergraph(*case)
+            return
+        h = Hypergraph(*case)
+        got = h.node_edge_matrix
+        assert got.has_canonical_format
+        for arr, ref in zip((got.indptr, got.indices, got.data), want):
+            assert arr.dtype == ref.dtype
+            assert arr.tolist() == ref.tolist()
+            assert not arr.flags.writeable
 
 
 class TestIdMap:

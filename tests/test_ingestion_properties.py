@@ -10,17 +10,22 @@ sharing long prefixes, ids with an embedded or trailing NUL (``"a"`` and
 ``"a\\x00"`` are two ids), quoted ids holding the delimiter, quotes or
 line ends, a BOM, tab or comma delimiters, ``\\n``/``\\r\\n``/``\\r``
 line ends, blank lines, a missing final newline, ragged rows, empty ids
-and, under a lowered csv field size limit, over-long fields.
+and, under a lowered csv field size limit, over-long fields.  Node
+universes reach both of ``load_incidence``'s routes: short unpadded str
+ids join the node column's key sort, and long, padded or newline-holding
+ids and ids that are not str are merged by ``build_hypergraph``.
 """
 
 import contextlib
 import csv
 import tempfile
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 from hypothesis import example, given, settings, strategies as st
 
+import hyperprop.io
 from hyperprop import HyperpropError, ParseError, load_incidence, load_signal
 from hyperprop.io import read_labels
 from oracles import row_load_incidence, row_load_signal, row_read_labels
@@ -183,6 +188,83 @@ def test_signal_loader_matches_row_oracle(signal, limit):
     want_values = np.array(want_values, dtype=np.float64)
     assert values.shape == want_values.shape
     assert values.tobytes() == want_values.tobytes()  # nan and -0.0 too
+
+
+# ids under 8 bytes; "é" at either end pads an id with a possible space byte
+SHORT_IDS = st.text(st.sampled_from(list('ab7,"\x00é')), min_size=1,
+                    max_size=3)
+UNIVERSES = st.one_of(
+    st.lists(SHORT_IDS, max_size=6),  # repeats too
+    st.lists(st.one_of(SHORT_IDS, IDS), min_size=1, max_size=6),
+    st.integers(0, 4).map(range))
+
+
+@st.composite
+def universes_and_incidence(draw):
+    """A node universe and an incidence file whose node ids are drawn from
+    it and from short ids of their own."""
+    universe = draw(UNIVERSES)
+    own = [u for u in universe if isinstance(u, str)]
+    nodes = st.one_of(st.sampled_from(own), SHORT_IDS) if own else SHORT_IDS
+    return universe, draw(delimited_files({"nodeId": nodes,
+                                           "edgeId": SHORT_IDS}))
+
+
+def raw_column(path, name):
+    """Column ``name`` of every data row of a delimited file, unstripped."""
+    with open(path, encoding="utf-8-sig", newline="") as fh:
+        line = fh.readline()
+        delim = "\t" if "\t" in line else ","
+        header = [c.strip() for c in next(csv.reader([line], delimiter=delim))]
+        return [row[header.index(name)]
+                for row in csv.reader(fh, delimiter=delim) if row]
+
+
+def joins_the_key_sort(ids):
+    """Whether every id is a str of under 8 UTF-8 bytes, without a newline,
+    neither starting nor ending with an ASCII space or a non-ASCII byte."""
+    return all(isinstance(i, str) and len(i.encode()) < 8 and "\n" not in i
+               and not (i and any(c.isspace() or not c.isascii()
+                                  for c in (i[0], i[-1])))
+               for i in ids)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(case=universes_and_incidence())
+# short ids, repeated in the universe, with universe-only and
+# incidence-only ids: the key route
+@example(case=(["b", "a", "b", "zz"], b"nodeId,edgeId\na,x\nc,x\nb,y\n"))
+# an id of 8 bytes, a padded id, a quoted id holding a newline and ids that
+# are not str: today's route
+@example(case=(["a", "abcdefgh"], b"nodeId,edgeId\na,x\nabcdefgh,y\n"))
+@example(case=(["a", " b"], b"nodeId,edgeId\na,x\nb,y\n"))
+@example(case=(["a", "b\nc"], b'nodeId,edgeId\na,x\n"b\nc",y\n'))
+@example(case=(range(3), b"nodeId,edgeId\n0,x\n1,y\n"))
+def test_universe_takes_the_route_its_ids_allow(case):
+    """A universe of short unpadded str ids joins the incidence file's key
+    sort, when the file's node ids allow it; any other universe is merged
+    by ``build_hypergraph``, as before.  Either way the load equals the row
+    oracle: IdMaps, CSR arrays, and errors with their line numbers."""
+    universe, incidence = case
+    build = mock.Mock(wraps=hyperprop.io.build_hypergraph)
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp, "incidence.csv")
+        path.write_bytes(incidence)
+        with mock.patch.object(hyperprop.io, "build_hypergraph", build):
+            got = outcome(load_incidence, path, node_universe=universe)
+        want = outcome(row_load_incidence, path, universe)
+        raw = raw_column(path, "nodeId") if got[0] == "ok" else None
+
+    assert got[0] == want[0]
+    if got[0] != "ok":
+        assert got[1] == want[1]
+        return
+    (h, maps), (arrays, node_ids, edge_ids) = got[1], want[1]
+    assert maps.node_ids.ids == node_ids
+    assert maps.edge_ids.ids == edge_ids
+    assert incidence_arrays(h) == arrays
+    key_route = build.call_args.kwargs["node_universe"] is None
+    assert key_route == (not universe or joins_the_key_sort([*universe, *raw]))
 
 
 # each kind of bad row, as the fields a row holds and the error it raises

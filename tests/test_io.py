@@ -297,7 +297,7 @@ class TestColumnarReader:
             table = hyperprop.io._Table(path)
             columns = [table.ids(i) for i in table.indexes(("nodeId",
                                                             "edgeId"))]
-            return table, [(ids, index.tolist()) for ids, index in columns]
+            return table, [(ids, index.tolist()) for ids, index, _ in columns]
 
         narrow, want = read()
         monkeypatch.setattr(hyperprop.io, "_offset_type",
@@ -376,6 +376,36 @@ class TestColumnarReader:
         want, node_ids, edge_ids = row_load_incidence(path)
         assert maps.node_ids.ids == node_ids
         assert maps.edge_ids.ids == edge_ids
+
+    @pytest.fixture
+    def decoded(self, monkeypatch):
+        """Every field the decoder turns into a str."""
+        texts = []
+
+        def counted(buf, starts, ends):
+            out = decode(buf, starts, ends)
+            texts.extend(out)
+            return out
+
+        decode = hyperprop.io._decode
+        monkeypatch.setattr(hyperprop.io, "_decode", counted)
+        return texts
+
+    @pytest.mark.parametrize("universe,new", [
+        (None, ["p1", "p2", "p3"]),
+        (["p3", "q", "p1", "p2"], []),  # it holds every node id
+        (["p2", "q", "p2"], ["p1", "p3"]),  # a repeat, and ids it lacks
+    ])
+    def test_short_universe_spares_decoding_the_ids_it_holds(
+            self, tmp_path, decoded, universe, new):
+        path = tmp_path / "incidence.csv"
+        path.write_text("nodeId,edgeId\np1,a1\np2,a1\np1,a2\np3,a2\np2,a2\n")
+        h, maps = load_incidence(path, node_universe=universe)
+        assert sorted(decoded) == sorted(new + ["a1", "a2"])
+        want, node_ids, edge_ids = row_load_incidence(path, universe or ())
+        assert maps.node_ids.ids == node_ids
+        assert maps.edge_ids.ids == edge_ids
+        assert incidence_arrays(h) == want
 
     def test_ragged_row_wins_over_a_later_label_conflict(self, tmp_path):
         path = tmp_path / "labels.csv"
