@@ -8,8 +8,10 @@ binary incidence matrix ``H`` of shape ``(n_nodes, n_edges)`` with
 incident edges), and exposes ``H^T`` as ``H``'s CSC view, which shares
 its arrays: each incidence is stored once.  The CSR arrays come from
 one sort of the int64 keys ``node * n_edges + edge``, with repeats
-dropped, not from scipy's COO conversion; their index dtype is the one
-scipy picks, int32 whenever the sizes fit.  Index arrays that are not
+dropped, not from scipy's COO conversion: that one key array gives the
+columns by ``%`` and, divided in place, the rows, so no second int64
+array of the incidences is made.  Their index dtype is the one scipy
+picks, int32 whenever the sizes fit.  Index arrays that are not
 integers, such as floats or booleans, are refused, not truncated.
 
 Instances are deeply immutable (attributes cannot be rebound and every
@@ -22,7 +24,10 @@ dict pass per side.  File loaders intern ids from the file bytes instead
 and pass :class:`InternedPairs`, whose node ids may already start with a
 node universe's (see :mod:`hyperprop.io`); otherwise a node universe is
 merged against the distinct node ids only, and with no universe the
-pairs' indices are used as they are.
+pairs' indices are used as they are.  An :class:`IdMap` holds its ids as a
+tuple; the id -> index dict that only :meth:`IdMap.lookup` and ``in``
+read is built on the first such call, so a loaded dataset that is only
+read by index, as every CLI run is, never builds one.
 """
 
 from __future__ import annotations
@@ -42,6 +47,11 @@ class IdMap:
 
     Indices follow first appearance in ``ids``, so construction is
     deterministic.  The map is immutable: its ids are held as one tuple.
+    ``IdMap(ids)`` dedupes ``ids`` with a dict that it keeps for
+    :meth:`lookup` and ``in``; a map of ids already distinct, such as
+    :func:`build_hypergraph` makes from :class:`InternedPairs`, builds that
+    dict from the tuple on its first lookup, so a map only read by index
+    never holds one.
     """
 
     __slots__ = ("_index", "_ids")
@@ -52,8 +62,17 @@ class IdMap:
         index.update(zip(self._ids, range(len(self._ids))))  # no new keys
         self._index = index
 
+    @classmethod
+    def _of_distinct(cls, ids: Iterable[Hashable]) -> IdMap:
+        """The map of ``ids``, which must be distinct, with no dict yet."""
+        self = cls.__new__(cls)
+        self._ids, self._index = tuple(ids), None
+        return self
+
     def lookup(self, keys: Iterable[Hashable]) -> np.ndarray:
         """Dense index of each of ``keys``, -1 for a key not in the map."""
+        if self._index is None:  # threads that race here build equal dicts
+            self._index = dict(zip(self._ids, range(len(self._ids))))
         keys = list(keys)
         return np.fromiter(map(self._index.get, keys, repeat(-1)),
                            dtype=np.intp, count=len(keys))
@@ -71,7 +90,7 @@ class IdMap:
         return len(self._ids)
 
     def __contains__(self, key: Hashable) -> bool:
-        return key in self._index
+        return self.lookup((key,))[0] >= 0
 
 
 @dataclass(frozen=True)
@@ -130,16 +149,16 @@ class Hypergraph:
         # one sort of the exact keys node * n_edges + edge: H in CSR order
         key = np.multiply(nodes, n_edges, dtype=np.int64)
         np.add(key, edges, out=key, casting="unsafe")
-        key.sort()
-        new = np.ones(key.size, dtype=bool)
-        np.not_equal(key[1:], key[:-1], out=new[1:])
-        rows, cols = np.divmod(key[new], n_edges)  # duplicate pairs collapse
-        del key, new
+        key.sort()  # a repeated pair's keys are now neighbours: keep one
+        key = np.delete(key, np.flatnonzero(key[1:] == key[:-1]))
         idx = (np.int32 if max(n_nodes, n_edges, nodes.size) < 2**31
                else np.int64)  # scipy's choice: int32 while the sizes fit
-        indptr = np.r_[0, np.bincount(rows, minlength=n_nodes).cumsum()]
+        cols = (key % n_edges).astype(idx)
+        key //= n_edges  # each incidence's row, in place
+        indptr = np.r_[0, np.bincount(key, minlength=n_nodes).cumsum()]
+        del key
         h = sp.csr_matrix(tuple(map(_read_only, (  # scipy keeps views of them
-            np.ones(cols.size), cols.astype(idx), indptr.astype(idx)))),
+            np.ones(cols.size), cols, indptr.astype(idx)))),
             shape=(n_nodes, n_edges))
         edge_degree = np.bincount(h.indices, minlength=n_edges)
         if n_edges and edge_degree.min() < 1:
@@ -204,8 +223,9 @@ def _check_indices(indices, size: int, error=ShapeError) -> np.ndarray:
 class InternedPairs:
     """(node, edge) pairs given as indices into each side's distinct ids.
 
-    Pair ``i`` is ``(node_ids[nodes[i]], edge_ids[edges[i]])``; each id
-    list holds distinct ids, and ``len()`` is the number of pairs.
+    Pair ``i`` is ``(node_ids[nodes[i]], edge_ids[edges[i]])``; the ids
+    in each list must be distinct, as :func:`build_hypergraph` takes them
+    as the maps' ids unchecked, and ``len()`` is the number of pairs.
     ``edge_ids`` are in first-appearance order.  So are ``node_ids``, or
     they start with a node universe's distinct ids, in its order, and go
     on with the ids first seen in the pairs: universe ids that no pair
@@ -273,11 +293,11 @@ def build_hypergraph(
         pairs = InternedPairs(*_intern(nodes), *_intern(edges))
     if not len(pairs):
         raise EmptyGraphError("incidence stream contains no (node, edge) pairs")
-    universe = () if node_universe is None else node_universe
-    node_map = IdMap(chain(universe, pairs.node_ids))
+    node_map = (IdMap._of_distinct(pairs.node_ids) if node_universe is None
+                else IdMap(chain(node_universe, pairs.node_ids)))
     nodes = (pairs.nodes if node_universe is None  # distinct ids: as they are
              else node_map.lookup(pairs.node_ids)[pairs.nodes])
-    edge_map = IdMap(pairs.edge_ids)
+    edge_map = IdMap._of_distinct(pairs.edge_ids)
     h = Hypergraph(nodes, pairs.edges, len(node_map), len(edge_map))
     return h, IdMaps(node_ids=node_map, edge_ids=edge_map)
 

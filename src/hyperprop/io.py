@@ -11,11 +11,14 @@ object per row, as equal ids are grouped by sorting one exact 64-bit key
 per field and each distinct id is decoded once; any other id column is
 decoded, stripped by ``str.strip`` and grouped by a dict.  A node universe
 of such ids, as a label file's ids usually are, is encoded into keys of
-the same kind and sorted with the incidence file's node column, so its
-ids come first, in its order, and only the node ids it lacks are decoded;
-no node id is looked up in a dict.  While a file is read, the reader
-holds one padded copy of its bytes plus two offsets per field, int32
-while the copy is under 2 GiB and int64 above.
+the same kind, written into the array that then takes the incidence
+file's node column's keys and sorted with them, so its ids come first, in
+its order, and only the node ids it lacks are decoded; no node id is
+looked up in a dict.  A column's keys are made and compared a block at a
+time, so interning holds one key array and its sort order, with no sorted
+copy of the keys.  While a file is read, the reader holds one padded copy
+of its bytes plus two offsets per field, int32 while the copy is under
+2 GiB and int64 above.
 Signal files are written in blocks of whole rows, at most
 :data:`_WRITE_VALUES` values each, each block's values as one byte matrix
 that one pass turns into text: numpy formats zeros and the values of
@@ -338,37 +341,39 @@ def _intern_column(buf, starts, ends, universe=()):
     and ``universe`` (a sequence of ids), or None once the distinct ids
     start with the universe's own.  While every field is under 8 bytes, equal
     fields are grouped by sorting one exact 64-bit key each (see
-    :func:`_keys`), with the keys of a universe of short str ids ahead of
-    them (see :func:`_universe_ahead`).  Unless a distinct key then starts
-    or ends with a byte of a possible whitespace character, the ids are
-    the universe's distinct ids, in its order, then the ids first seen in
-    a field, each decoded once, and the index has the offsets' dtype.  Any
-    other column is decoded, stripped and grouped by a dict, and the
-    universe is left to the caller.
+    :func:`_keys`), written after the keys of a universe of short str ids
+    in one array (see :func:`_universe_ahead`).  Unless a distinct key
+    then starts or ends with a byte of a possible whitespace character,
+    the ids are the universe's distinct ids, in its order, then the ids
+    first seen in a field, each decoded once, and the index has the
+    offsets' dtype.  Any other column is decoded, stripped and grouped by
+    a dict, and the universe is left to the caller.
     """
-    lens = ends - starts
-    if keyed := lens.max(initial=0) < 8:
-        empty = lens.size if lens.all() else int(np.argmin(lens))
-        key = _universe_ahead(universe, _keys(buf, starts, lens))
-        known = key.size - lens.size  # the universe's keys, if any
+    if keyed := (ends - starts).max(initial=0) < 8:
+        empty = int(np.argmax(np.r_[ends == starts, True]))  # or the size
+        key = _universe_ahead(universe, starts.size)
+        known = key.size - starts.size  # the universe's keys, if any
+        _keys(buf, starts, ends, out=key[known:])
         order = np.argsort(key)
-        key = key[order]
         head = np.ones(key.size, dtype=bool)
-        np.not_equal(key[1:], key[:-1], out=head[1:])
+        for at in range(1, key.size, 1 << 16):  # no sorted copy of ``key``
+            run = key[order[at - 1:at + (1 << 16)]]
+            np.not_equal(run[1:], run[:-1], out=head[at:at + (1 << 16)])
         # equal fields have equal keys, so test each distinct key's first
         # and last byte; byte 7 is its length (and an empty one's last byte)
-        kept = key[head].view(np.uint8).reshape(-1, 8)
-        last = kept[np.arange(len(kept)), kept[:, 7].astype(np.intp) - 1]
-        keyed = not (_MAYBE_SPACE[kept[:, 0]] | _MAYBE_SPACE[last]).any()
-        del key, kept, last
+        key = key[order[head]].view(np.uint8).reshape(-1, 8)  # distinct
+        last = key[np.arange(len(key)), key[:, 7].astype(np.intp) - 1]
+        keyed = not (_MAYBE_SPACE[key[:, 0]] | _MAYBE_SPACE[last]).any()
     if not keyed:
         texts = [text.strip() for text in _decode(buf, starts, ends)]
         empty = texts.index("") if "" in texts else len(texts)
         return empty, *_intern(texts), universe or None
     first = (np.minimum.reduceat(order, np.flatnonzero(head)) if order.size
              else order)  # each group's first field
-    group = np.empty(order.size, dtype=starts.dtype)
-    group[order] = np.cumsum(head, dtype=group.dtype) - 1
+    at = np.cumsum(head, dtype=starts.dtype)  # each sorted key's group, + 1
+    group = np.empty_like(at)
+    group[order] = at
+    group -= 1
     order = np.argsort(first)  # groups by first appearance
     rank = np.empty(order.size, dtype=group.dtype)
     rank[order] = np.arange(order.size)
@@ -381,34 +386,41 @@ def _intern_column(buf, starts, ends, universe=()):
             rank[group[known:]], universe if known < len(universe) else None)
 
 
-def _keys(buf, starts, lens):
-    """One exact 64-bit key per field of under 8 bytes.
+def _keys(buf, starts, ends, out):
+    """Write one exact 64-bit key per field of under 8 bytes into ``out``.
 
-    The field ``buf[starts[i]:starts[i] + lens[i]]`` keys as its bytes,
-    zero-filled, with its length in the top byte.
+    The field ``buf[starts[i]:ends[i]]`` keys as its bytes, zero-filled,
+    with its length in the top byte.  The fields are keyed a block at a
+    time, so no other array of their number is made.
     """
     words = np.ndarray((buf.size - _PAD + 1,), dtype="<u8", buffer=buf,
                        strides=(1,))  # the 8 bytes from each position on
-    key = words[starts] & _LOW[lens]
-    key.view(np.uint8).reshape(-1, 8)[:, 7] = lens  # the top byte is 0
-    return key
+    for at in range(0, starts.size, 1 << 16):
+        cut = slice(at, at + (1 << 16))
+        lens = ends[cut] - starts[cut]
+        np.bitwise_and(words[starts[cut]], _LOW[lens], out=out[cut])
+        out[cut].view(np.uint8).reshape(-1, 8)[:, 7] = lens  # top byte was 0
 
 
-def _universe_ahead(universe, key):
-    """``key`` after the :func:`_keys` of ``universe``'s ids.
+def _universe_ahead(universe, size):
+    """An array of the :func:`_keys` of ``universe``'s ids, then ``size``
+    unset keys.
 
-    The ids are encoded once.  Returns ``key`` alone unless every id is a
-    str of under 8 UTF-8 bytes with no newline.
+    The ids are encoded once.  The array holds the unset keys alone
+    unless every id is a str of under 8 UTF-8 bytes with no newline.
     """
     try:
         data = ("\n".join(universe) + "\n").encode("utf-8")
     except (TypeError, UnicodeEncodeError):
-        return key
+        return np.empty(size, dtype=np.uint64)
     buf = np.frombuffer(data + bytes(_PAD), dtype=np.uint8)
     ends = np.flatnonzero(buf == ord("\n"))
     lens = np.diff(ends, prepend=-1) - 1
     fits = ends.size == len(universe) and lens.max(initial=0) < 8
-    return np.hstack((_keys(buf, ends - lens, lens), key)) if fits else key
+    key = np.empty(ends.size * fits + size, dtype=np.uint64)
+    if fits:
+        _keys(buf, ends - lens, ends, out=key[:ends.size])
+    return key
 
 
 def _decode(buf, starts, ends):

@@ -1,4 +1,5 @@
 import sys
+import tracemalloc
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
@@ -167,6 +168,23 @@ class TestCsrOracle:
             assert arr.dtype == ref.dtype
             assert arr.tolist() == ref.tolist()
             assert not arr.flags.writeable
+
+    def test_build_in_memory_bounded_per_incidence(self):
+        # int32 indices, as the loaders give them.  One int64 key array,
+        # compacted, divided in place and counted, peaks at 22.6 bytes per
+        # incidence, the built graph included; the sorted keys beside int64
+        # rows and columns peaked at 38.6
+        rng = np.random.default_rng(0)
+        nodes = rng.integers(40_000, size=200_000).astype(np.int32)
+        edges = rng.integers(4_000, size=200_000).astype(np.int32)
+        edges[:4_000] = np.arange(4_000)  # no empty edge
+        tracemalloc.start()
+        try:
+            h = Hypergraph(nodes, edges, 40_000, 4_000)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 30 * h.nnz
 
 
 class TestIdMap:

@@ -4,13 +4,15 @@ import os
 import sys
 import threading
 import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 import hyperprop.io
-from hyperprop import (MetricCell, MetricReport, MissingColumnError,
+import hyperprop.hypergraph
+from hyperprop import (IdMap, MetricCell, MetricReport, MissingColumnError,
                        MissingLabelError, ParseError, ShapeError,
                        UnknownNodeError,
                        dataset_stats, load_dataset, load_incidence,
@@ -261,6 +263,30 @@ class TestColumnarReader:
                 tracemalloc.stop()
             assert peak < bound * size
 
+    def test_node_column_with_universe_in_memory_bounded_per_row(
+            self, tmp_path):
+        # the universe's keys and the column's in one array, sorted with
+        # no sorted copy, peak at 27.7 bytes a row; the column's keys
+        # copied behind the universe's, beside the sorted copy and the
+        # field lengths, peaked at 33.0
+        rng = np.random.default_rng(0)
+        nodes = rng.integers(40_000, size=200_000).tolist()
+        path = tmp_path / "incidence.csv"
+        path.write_text("nodeId,edgeId\n" + "".join(
+            f"p{u},a{i % 4_000}\n" for i, u in enumerate(nodes)))
+        universe = [f"p{u}" for u in rng.permutation(42_000).tolist()]
+        table = hyperprop.io._Table(path)
+        column = table.indexes(["nodeId"])[0]
+        tracemalloc.start()
+        try:
+            ids, index, left = table.ids(column, universe)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert left is None  # the universe joined the key sort
+        assert ids[:len(universe)] == universe
+        assert peak < 30 * len(nodes)
+
     @pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="no named pipes")
     def test_pipe_reads_like_a_file(self, tmp_path):
         # a pipe reports no size, so its buffer grows as it is read
@@ -497,6 +523,81 @@ class TestLoadDataset:
         path.write_text(LABELS + "a,bio\n")
         with pytest.raises(ParseError, match="labeled both 'art' and 'bio'"):
             load_dataset(incidence_file, path)
+
+
+class TestLoadedIdMaps:
+    @pytest.fixture
+    def dataset(self, tmp_path):
+        """An incidence file with repeats and a label file with a node of
+        its own, "lonely", of short ids that take the key route."""
+        incidence = tmp_path / "incidence.csv"
+        incidence.write_text(INCIDENCE + "c,e2\nd,e3\n")
+        labels = tmp_path / "labels.csv"
+        labels.write_text(LABELS + "lonely,bio\nd,art\n")
+        return incidence, labels
+
+    def test_agree_with_maps_built_from_their_ids(self, dataset):
+        # as the route tests watch ``build_hypergraph``, watch the module's
+        # dicts: the load builds none, and a map's first lookup builds one
+        with mock.patch.object(hyperprop.hypergraph, "dict", wraps=dict,
+                               create=True) as made:
+            maps = load_dataset(*dataset).id_maps
+            assert made.mock_calls == []
+            for loaded in maps.node_ids, maps.edge_ids:
+                built = IdMap(loaded.ids)
+                calls = made.call_count
+                unknown = ["zz", "", None, 3]
+                assert loaded.lookup(loaded.ids + tuple(unknown)).tolist() == (
+                    built.lookup(loaded.ids + tuple(unknown)).tolist())
+                assert made.call_count == calls + 1
+                assert loaded.lookup(unknown).tolist() == [-1] * 4
+                assert loaded.ids == built.ids
+                assert len(loaded) == len(built) == len(set(loaded.ids))
+                for i, key in enumerate(loaded.ids):
+                    assert loaded.id_of(i) == built.id_of(i) == key
+                    assert key in loaded and key in built
+                for key in unknown:
+                    assert key not in loaded and key not in built
+                assert made.call_count == calls + 1  # built once, then kept
+        assert maps.node_ids.ids == ("a", "b", "c", "lonely", "d")
+        assert maps.edge_ids.ids == ("e1", "e2", "e3")
+
+    def test_threads_build_one_consistent_lookup(self, tmp_path):
+        # the dict is built by whichever thread looks up first; threads that
+        # race there build equal dicts, so no lookup may see a partial one
+        n = 20_000
+        path = tmp_path / "incidence.csv"
+        path.write_text("nodeId,edgeId\n" + "".join(
+            f"p{i},a{i % 97}\n" for i in range(n)))
+        _, maps = load_incidence(path)
+        ids = maps.node_ids.ids
+        want = dict(zip(ids, range(len(ids))))
+        probes = [ids[i] for i in range(0, n, 7)] + ["q1", "p", "p20000"]
+        expect = [want.get(k, -1) for k in probes]
+        results = [None] * 8
+
+        def work(slot):
+            got = []
+            for key in probes[slot::8]:
+                got.append((maps.node_ids.lookup([key])[0].item(),
+                            key in maps.node_ids))
+            results[slot] = got
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=work, args=(slot,))
+                       for slot in range(8)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+                assert not t.is_alive()
+        finally:
+            sys.setswitchinterval(interval)
+        for slot, got in enumerate(results):
+            assert got == [(i, i >= 0) for i in expect[slot::8]]
+        assert maps.node_ids.lookup(ids).tolist() == list(range(n))
 
 
 class TestSignalFiles:
