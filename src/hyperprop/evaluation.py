@@ -25,13 +25,15 @@ harness works in (fold, class block) units: for one fold, a block of
 classes is scored together as the columns of one signal matrix, with one
 propagation (or one batched Naive Bayes fit and score) and one
 column-wise metric pass.  Every column gets the value it would get alone.
-A run sorts the nodes stably by (class, fold) once, and a unit reads each
-class's known nodes (those of the training folds, or of the training
-fold) as slices of that order: it sets True over them in a zeroed
-row-major matrix, which is the seed or gives the Naive Bayes labels, so
-no sparse product copies its dense operand.  The ranked rows are the
-other ones; in classification they are one fold's nodes, a slice of the
-nodes sorted stably by fold once per run, and so ascending.  The
+A run sorts the nodes stably by class once, so each class's nodes are an
+ascending slice of that order, and keeps their folds beside them.  A
+unit picks each class's known nodes (those of the training folds, or of
+the training fold) from its slice by fold; for ``alpha`` and Naive Bayes
+it sets True over them in a zeroed row-major matrix, the seed or the
+Naive Bayes labels, so no sparse product copies its dense operand.  The
+ranked rows are the other ones; in classification they are one fold's
+nodes, a slice of the nodes sorted stably by fold once per run, and so
+ascending.  The
 metric's labels compare the ranked rows' class positions with the
 block.  While the ranked rows are under half the nodes
 (classification), the last propagation layer or the Naive Bayes score
@@ -55,21 +57,21 @@ one-shot run's harness took 1.0k-1.4k minor page faults instead of
 6.7k-11.4k, and the median peak RSS fell by 1.0-1.3 MB.  A cell's
 ``micros`` is its equal share of its block's method time.
 
-For ``row`` and ``alpha``, whose layer starts with the gather
-``B^-1 H^T x``, the seed's first edge averages are counted, not
-gathered.  Once per run the incidences' edge ids are read from ``H``'s
-CSR arrays in (class, fold) order of their nodes; a unit counts each of
-its classes over its known folds (every fold but the test fold in
-classification, the training fold in retrieval) with ``bincount``,
-divides by the edge degree and hands the result to :func:`propagate` as
-``edge_means=``.  A unit's counts are its ``n_edges x block`` edge
-averages, the array the gather would make, whatever the class count.
-Float64 sums 0/1 values exactly, so this equals the gather bit for bit.
-Past that, ``row`` reads only the seed's shape, so its units build no
-seed and pass the zero-byte read-only view
-``np.broadcast_to(np.False_, (n_nodes, block))``; ``alpha`` gets the
-seed for its residual.  ``column`` and ``symmetric`` get the boolean
-seed as is and gather it.
+Every variant's layer starts with the gather ``B^-1 H^T S x``, ``S`` its
+scale before the kernel (``D^-1`` for ``column``, ``D^-1/2`` for
+``symmetric``, none otherwise), and a unit counts the seed's first edge
+averages instead.  Once per run the incidences' edge ids are read from
+``H``'s CSR arrays in the class order of their nodes, with each one's
+fold and ``S`` entry; a unit adds up each class's known incidences per
+edge with a ``bincount`` weighted by ``S``, divides by the edge degree
+and hands the ``n_edges x block`` result, whatever the class count, to
+:func:`propagate` as ``edge_means=``.  Like the gather (scipy's CSC
+product walks the nodes), it adds each edge's terms in ascending node
+order, so the two are equal bit for bit; a sum fold by fold would not
+be, as the known folds of classification lie on both sides of the test
+fold.  Only the ``alpha`` residual reads the seed past that, so every
+other unit builds none and passes the zero-byte read-only view
+``np.broadcast_to(np.False_, (n_nodes, block))``.
 """
 
 from __future__ import annotations
@@ -84,10 +86,10 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import InvalidConfigError, InvalidFoldsError, ShapeError, UnknownClassError
-from .hypergraph import Hypergraph
+from .hypergraph import Hypergraph, _read_only
 from .metrics import precision_at_k, roc_auc
 from .naive_bayes import fit_naive_bayes, naive_bayes_log_odds
-from .propagation import _GATHER_FIRST, PropagationConfig, propagate
+from .propagation import _LAYER_SHAPES, PropagationConfig, propagate
 
 TASKS = ("classification", "retrieval")
 METHODS = ("propagation", "naive-bayes")
@@ -133,11 +135,14 @@ def assign_folds(n_items: int, n_folds: int, seed: int) -> FoldAssignment:
     Raises
     ------
     InvalidFoldsError
-        If ``n_folds < 2`` or ``n_folds > n_items``.
+        Unless ``n_folds`` is an integer (a bool is not) in
+        ``[2, n_items]``.
     """
-    if n_folds < 2 or n_folds > n_items:
-        raise InvalidFoldsError(
-            f"fold count must be in [2, {n_items}], got {n_folds}")
+    if (isinstance(n_folds, bool) or not isinstance(n_folds, (int, np.integer))
+            or n_folds < 2 or n_folds > n_items):
+        raise InvalidFoldsError(f"fold count must be an integer in "
+                                f"[2, {n_items}], got {n_folds!r}")
+    n_folds = int(n_folds)  # a numpy scalar would fail only in a report
     perm = np.random.default_rng(seed).permutation(n_items)
     folds = np.empty(n_items, dtype=np.int64)
     for f, chunk in enumerate(np.array_split(perm, n_folds)):
@@ -301,19 +306,23 @@ def _skip_reasons(sizes, fold, task) -> list:
 class _Grouping(NamedTuple):
     """A run's node orders, read-only and shared by every unit.
 
-    ``order`` holds the nodes stably by (class, fold) group, class
-    position ``c`` and fold ``f`` making group ``c * k + f``, and group
-    ``g``'s nodes are ``order[starts[g]:starts[g + 1]]``.  ``by_fold``
-    and ``fold_starts`` hold them by fold alone (classification only),
-    and ``edges``/``edge_starts`` every incidence's edge id in ``order``
-    (``row`` and ``alpha`` only)."""
+    ``order`` holds the nodes stably by class position: class ``c``'s are
+    ``order[starts[c]:starts[c + 1]]``, ascending; ``fold_of`` their folds.
+    ``by_fold``/``fold_starts`` hold them by fold (classification only).
+    For propagation, ``edges`` holds each incidence's edge id, its node in
+    ``order`` (class ``c``'s from ``edge_starts[c]``), with its node's
+    fold in ``edge_folds`` and scale before the gather in ``weights``
+    (None if the variant has none)."""
 
     order: np.ndarray
     starts: np.ndarray
+    fold_of: np.ndarray
     by_fold: np.ndarray | None
     fold_starts: np.ndarray | None
     edges: np.ndarray | None
     edge_starts: np.ndarray | None
+    edge_folds: np.ndarray | None
+    weights: np.ndarray | None
 
 
 def _ordered(keys, n_groups):
@@ -322,15 +331,13 @@ def _ordered(keys, n_groups):
     order = np.argsort(keys, kind="stable")
     starts = np.concatenate(
         ([0], np.cumsum(np.bincount(keys, minlength=n_groups))))
-    order.setflags(write=False)
-    starts.setflags(write=False)
-    return order, starts
+    return _read_only(order), _read_only(starts)
 
 
-def _grouped_edges(h, order, starts):
-    """Every incidence's edge id, its node taken in ``order``, and where
-    the incidences of each node group (starting at ``starts``) start.
-    The ids are read from ``H``'s CSR arrays, without its values."""
+def _grouped_edges(h, order, starts, fold_of, scale):
+    """Each incidence's edge id (from ``H``'s CSR arrays), its node taken
+    in ``order``; where each node group's (from ``starts``) start; and its
+    node's ``fold_of`` entry and degree scale ``h.<scale>`` (or None)."""
     ptr = h.node_edge_matrix.indptr
     degree = h.node_degree[order]
     ends = np.cumsum(degree, dtype=ptr.dtype)
@@ -338,52 +345,50 @@ def _grouped_edges(h, order, starts):
     # its offset from its node's start in the grouped order
     take = np.repeat(ptr[order] - (ends - degree), degree)
     take += np.arange(h.nnz, dtype=take.dtype)
-    edges = h.node_edge_matrix.indices[take]
-    edge_starts = np.concatenate(([0], ends))[starts]
-    edges.setflags(write=False)
-    edge_starts.setflags(write=False)
-    return edges, edge_starts
+    edges = _read_only(h.node_edge_matrix.indices[take])
+    del take  # freed before the folds and weights are spread out
+    edge_starts = _read_only(np.concatenate(([0], ends))[starts])
+    edge_folds = _read_only(np.repeat(fold_of, degree))
+    weights = None if scale is None else _read_only(
+        np.repeat(getattr(h, scale)[order, 0], degree))
+    return edges, edge_starts, edge_folds, weights
 
 
 def _score_block(h, class_of, folds, fold, block, task, grouping):
     """The metric per class of ``block`` (class positions) in ``fold``,
     ranking every row but the known ones: the other folds in
     classification, the fold itself in retrieval.  Each class's known
-    nodes are read from ``grouping`` (a :class:`_Grouping`), and so are
-    the seed's first edge averages when it holds the edge ids."""
-    k = task.n_folds
+    nodes, and so the seed's first edge averages, are read from
+    ``grouping`` (a :class:`_Grouping`)."""
+    g = grouping
     if task.task == "retrieval":
-        ranked, spans = np.flatnonzero(folds != fold), [(fold, fold + 1)]
+        ranked, known = np.flatnonzero(folds != fold), np.equal
     else:  # ascending: the fold's nodes by a stable sort
-        ranked = grouping.by_fold[grouping.fold_starts[fold]:
-                                  grouping.fold_starts[fold + 1]]
-        spans = [(0, fold), (fold + 1, k)]
+        ranked = g.by_fold[g.fold_starts[fold]:g.fold_starts[fold + 1]]
+        known = np.not_equal
     # a row copy of H pays off for one fold's rows, not for k - 1 folds'; at
     # width 1 too: on a 128k-node graph, 1-layer row and symmetric runs and
     # Naive Bayes runs were 10-20% faster with it than scoring every row
     nodes = ranked if 2 * ranked.size < h.n_nodes else None
-    firsts = np.multiply(block, k)  # each class's group of fold 0
-    counted = task.method == "propagation" and grouping.edges is not None
-    if counted and task.propagation.variant == "row":
+    if task.method == "propagation" and task.propagation.variant != "alpha":
         # only the alpha residual reads a counted unit's seed
         seed = np.broadcast_to(np.False_, (h.n_nodes, len(block)))
-    else:  # True over each class's known groups, row-major
-        order, starts = grouping.order, grouping.starts
+    else:  # True over each class's known nodes, row-major
         seed = np.zeros((h.n_nodes, len(block)), dtype=bool)
-        for col, first in enumerate(firsts):
-            for a, b in spans:
-                seed[order[starts[first + a]:starts[first + b]], col] = True
+        for col, c in enumerate(block):
+            cut = slice(g.starts[c], g.starts[c + 1])
+            seed[g.order[cut][known(g.fold_of[cut], fold)], col] = True
     if task.method == "propagation":
         t0 = time.perf_counter()
-        means = None
-        if counted:  # each class's count over its known folds
-            edges, edge_starts = grouping.edges, grouping.edge_starts
-            means = np.empty((h.n_edges, len(block)))
-            for col, first in enumerate(firsts):
-                means[:, col] = sum(np.bincount(
-                    edges[edge_starts[first + a]:edge_starts[first + b]],
-                    minlength=h.n_edges) for a, b in spans)
-            means /= h.edge_degree[:, None]
+        # each class's known incidences, in ascending node order
+        means = np.empty((h.n_edges, len(block)))
+        for col, c in enumerate(block):
+            cut = slice(g.edge_starts[c], g.edge_starts[c + 1])
+            keep = known(g.edge_folds[cut], fold)
+            means[:, col] = np.bincount(
+                g.edges[cut][keep], minlength=h.n_edges,
+                weights=None if g.weights is None else g.weights[cut][keep])
+        means /= h.edge_degree[:, None]
         scores = propagate(h, seed, task.propagation, nodes=nodes,
                            edge_means=means)
         micros = (time.perf_counter() - t0) * 1e6
@@ -443,17 +448,20 @@ def _run(h: Hypergraph, labels, task: TaskSpec, dataset_name, class_names,
     present, class_of = np.unique(labels, return_inverse=True)
     k = task.n_folds
     folds = assign_folds(h.n_nodes, k, task.seed).folds
-    # the run's one grouping: nodes by (class, fold)
-    order, starts = _ordered(class_of * k + folds, present.size * k)
-    sizes = np.diff(starts).reshape(present.size, k)
-    by_fold = fold_starts = edges = edge_starts = None
+    sizes = np.bincount(class_of * k + folds, minlength=present.size * k
+                        ).reshape(present.size, k)
+    # the run's one grouping: nodes by class, ascending within each
+    order, starts = _ordered(class_of, present.size)
+    fold_of = _read_only(folds[order].astype(np.min_scalar_type(k - 1)))
+    by_fold = fold_starts = None
     if task.task == "classification":
         by_fold, fold_starts = _ordered(folds, k)
-    if (task.method == "propagation"
-            and task.propagation.variant in _GATHER_FIRST):
-        edges, edge_starts = _grouped_edges(h, order, starts)
-    grouping = _Grouping(order, starts, by_fold, fold_starts, edges,
-                         edge_starts)
+    incidences = (None,) * 4
+    if task.method == "propagation":
+        incidences = _grouped_edges(h, order, starts, fold_of,
+                                    _LAYER_SHAPES[task.propagation.variant][1])
+    grouping = _Grouping(order, starts, fold_of, by_fold, fold_starts,
+                         *incidences)
     width = max(1, _BLOCK_BYTES // (8 * h.n_nodes * n_jobs))
 
     outcomes = {}  # (class_pos, fold) -> (value, micros) or skip reason

@@ -81,6 +81,8 @@ def precision_at_k(scores, labels, k: int):
     the ``min(k, n)``-th largest, then the lowest positions among the
     scores equal to it.
     """
+    if isinstance(k, bool) or not isinstance(k, (int, np.integer)):
+        raise ValueError(f"k must be an integer, got {k!r}")
     if k < 1:
         raise ValueError("k must be >= 1")
     s2, y2 = _check_scored(scores, labels)

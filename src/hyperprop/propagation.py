@@ -37,10 +37,10 @@ that matrix plus the ``n_edges x d`` edge averages; ``alpha`` holds one
 more node matrix, the previous signal its residual blends in.  A signal
 of another dtype (a boolean seed, say) is converted once, and the copy
 counts as the first layer's matrix; boolean and integer signals skip the
-finiteness scan, since they cannot hold NaN or inf.  ``row`` and
-``alpha`` start each layer with the gather ``B^-1 H^T x``, so a caller
-that already has its first result passes it as ``edge_means=`` and that
-gather is skipped.
+finiteness scan, since they cannot hold NaN or inf.  Every layer
+starts with the gather ``B^-1 H^T S x``, ``S`` the variant's scale
+before the kernel, so a caller that already has its first result passes
+it as ``edge_means=`` and that gather is skipped.
 """
 
 from __future__ import annotations
@@ -140,11 +140,6 @@ _LAYER_SHAPES = {
     "symmetric": ("inv_sqrt_node_degree", "inv_sqrt_node_degree", False),
     "alpha": ("inv_node_degree", None, True),
 }
-# the variants whose layer starts with the gather B^-1 H^T x, and so take
-# its first result as propagate(..., edge_means=)
-_GATHER_FIRST = frozenset(
-    variant for variant, (_, before, _) in _LAYER_SHAPES.items()
-    if before is None)
 
 
 def _edge_mean(h: Hypergraph, x2: np.ndarray) -> np.ndarray:
@@ -216,15 +211,17 @@ def propagate(h: Hypergraph, x, config: PropagationConfig,
         ``propagate(h, x, config)[nodes]`` bit for bit: a CSR product sums
         each row on its own, in stored order.
     edge_means : array, optional
-        The first layer's edge averages ``B^-1 H^T x``, with the shape of
-        ``edge_average(h, x)``, for the ``row`` and ``alpha`` variants,
-        whose layer starts with them.  The first gather is then skipped,
+        The first layer's edge averages ``B^-1 H^T S x``, with the shape
+        of ``edge_average(h, x)``: ``S`` is the scale before the kernel,
+        none for ``row`` and ``alpha``, ``D^-1`` for ``column`` and
+        ``D^-1/2`` for ``symmetric``.  The first gather is then skipped,
         and ``x`` gives the shape: only the alpha residual reads its
-        values, so for ``row`` any array of that shape serves, such as
-        the read-only ``np.broadcast_to(np.False_, x.shape)``.  For a 0/1
-        ``x`` the averages are member counts divided by the edge degree,
-        which a caller may count without a product; float64 sums 0/1
-        values exactly, so the result is bitwise equal.
+        values, so for any other variant any array of that shape serves,
+        such as the read-only ``np.broadcast_to(np.False_, x.shape)``.
+        For a 0/1 ``x`` an edge's average is the sum of ``S`` over its
+        members where ``x`` is 1, divided by its degree, which a caller
+        may add up without a product; added in ascending node order, as
+        the gather adds them, the result is bitwise equal.
 
     Raises
     ------
@@ -232,17 +229,10 @@ def propagate(h: Hypergraph, x, config: PropagationConfig,
         If ``x`` does not have ``n_nodes`` rows, ``edge_means`` does not
         have the shape of ``edge_average(h, x)``, or ``nodes`` is not a
         1-D integer array or holds an id outside ``[0, h.n_nodes)``.
-    InvalidConfigError
-        If ``edge_means`` is given for ``column`` or ``symmetric``, which
-        scale ``x`` before the gather.
     """
     out_name, in_name, residual = _LAYER_SHAPES[config.variant]
     x2, was_1d = _signal_2d(x, h.n_nodes, "node")
     if edge_means is not None:
-        if config.variant not in _GATHER_FIRST:
-            raise InvalidConfigError(
-                f"edge_means= is B^-1 H^T x, which the {config.variant!r} "
-                f"variant does not gather: it scales x first")
         expected = (h.n_edges,) if was_1d else (h.n_edges, x2.shape[1])
         if np.shape(edge_means) != expected:
             raise ShapeError(f"edge_means has shape {np.shape(edge_means)}, "

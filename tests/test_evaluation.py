@@ -8,12 +8,12 @@ from hypothesis import given, settings, strategies as st
 from hyperprop import (VARIANTS, InvalidConfigError, InvalidFoldsError,
                        MetricCell, MetricReport, PropagationConfig,
                        ShapeError, TaskSpec, UnknownClassError, assign_folds,
-                       binarize, build_hypergraph, evaluation,
+                       binarize, build_hypergraph, edge_average, evaluation,
                        run_classification, run_retrieval)
 from hyperprop.io import canonical_json_bytes, report_to_dict
 
 import oracles
-from util import random_hypergraph
+from util import random_hypergraph, scaled_before_gather
 
 
 def two_cliques(per_side=10):
@@ -58,6 +58,14 @@ class TestAssignFolds:
             assign_folds(10, 1, seed=0)
         with pytest.raises(InvalidFoldsError):
             assign_folds(5, 6, seed=0)
+        # 2.5 gave 2 folds recorded as 2.5, and True one fold
+        for bad in (2.5, 3.0, True, "3"):
+            with pytest.raises(InvalidFoldsError):
+                assign_folds(10, bad, seed=0)
+
+    def test_numpy_integer_count_stored_as_int(self):
+        fa = assign_folds(10, np.int64(3), seed=0)
+        assert type(fa.n_folds) is int and fa.n_folds == 3
 
 
 class TestBinarize:
@@ -470,27 +478,29 @@ class TestBlockLayout:
     def test_blocks_reach_the_method_row_major(self, monkeypatch, task,
                                                method, variant):
         # a column-major block makes every sparse product copy its operand;
-        # a counted row unit reads only x's shape, so it builds no seed and
-        # passes a zero-byte read-only view
+        # every propagation unit is counted, and one of any variant but
+        # alpha reads only x's shape, so it builds no seed and passes a
+        # zero-byte read-only view
         h, labels = multiclass_instance()
         monkeypatch.setattr(evaluation, "_BLOCK_BYTES", 8 * h.n_nodes * 3)
         units = unit_seeds(h, labels, layout_spec(task, method, variant),
                            monkeypatch)
-        counted = method == "propagation" and variant in ("row", "alpha")
+        counted = method == "propagation"
         for _, block, x, _, kwargs in units:
             assert x.shape == (h.n_nodes, len(block))
             assert (kwargs.get("edge_means") is not None) == counted
-            if counted and variant == "row":
+            if counted and variant != "alpha":
                 assert x.strides == (0, 0) and not x.flags.writeable
             else:
                 assert x.flags.c_contiguous
         assert any(len(block) > 1 for _, block, *_ in units)
 
     @pytest.mark.parametrize("task,method,variant", [
-        case for case in LAYOUT_CASES if case[1:] != ("propagation", "row")])
+        case for case in LAYOUT_CASES
+        if case[1] == "naive-bayes" or case[2] == "alpha"])
     def test_seeds_equal_the_comparison_of_class_positions(
             self, monkeypatch, task, method, variant):
-        # the seed is set over each class's known (class, fold) groups; the
+        # the seed is set over each class's nodes of its known folds; the
         # comparison it replaced is the oracle
         h, labels = multiclass_instance()
         monkeypatch.setattr(evaluation, "_BLOCK_BYTES", 8 * h.n_nodes * 3)
@@ -574,12 +584,85 @@ class TestBlockLayout:
             assert max(widths) - min(widths) <= 1 and max(widths) <= 4
 
 
+def known_seed(folds, class_of, fold, block, task):
+    """The unit's seed: True where a node of a known fold is in the
+    block's class, the known folds being all but ``fold`` in
+    classification and ``fold`` alone in retrieval."""
+    known = folds == fold if task == "retrieval" else folds != fold
+    return np.where(known, class_of, -1)[:, None] == block
+
+
+def summed_in_order(h, nodes, variant):
+    """``B^-1 H^T S x`` for the 0/1 ``x`` that is 1 on ``nodes``, each
+    node's terms added into its edges in the order of ``nodes``."""
+    rows = h.node_edge_matrix[nodes]
+    scale = scaled_before_gather(h, np.ones(h.n_nodes), variant)
+    weights = np.repeat(scale[nodes], np.diff(rows.indptr))
+    return np.bincount(rows.indices, weights=weights,
+                       minlength=h.n_edges) / h.edge_degree
+
+
+class TestCountedEdgeMeans:
+    """Every propagation unit counts its seed's first edge averages; they
+    equal the gather ``B^-1 H^T S x`` of the seed bit for bit, because
+    they add its terms in its order, ascending by node."""
+
+    @settings(max_examples=15, deadline=None, derandomize=True)
+    @given(seed=st.integers(0, 2**32 - 1), n_folds=st.integers(2, 6),
+           task=st.sampled_from(["classification", "retrieval"]),
+           variant=st.sampled_from(VARIANTS))
+    def test_edge_means_equal_the_gather_of_the_seed(self, seed, n_folds,
+                                                     task, variant):
+        h = random_hypergraph(400, 40, 2400, seed=seed)
+        labels = np.random.default_rng(seed).integers(0, 4, h.n_nodes)
+        spec = TaskSpec(task=task, n_folds=n_folds, top_k=10, seed=seed % 7,
+                        propagation=PropagationConfig(
+                            variant=variant,
+                            alpha=0.3 if variant == "alpha" else None))
+        class_of = np.unique(labels, return_inverse=True)[1]
+        folds = assign_folds(h.n_nodes, n_folds, spec.seed).folds
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(evaluation, "_BLOCK_BYTES", 8 * h.n_nodes * 3)
+            units = unit_seeds(h, labels, spec, mp)
+        assert units
+        for fold, block, _, _, kwargs in units:
+            seed_x = known_seed(folds, class_of, fold, block, task)
+            want = edge_average(h, scaled_before_gather(h, seed_x, variant))
+            assert np.array_equal(kwargs["edge_means"], want)
+
+    @pytest.mark.parametrize("variant", ["column", "symmetric"])
+    def test_a_sum_fold_by_fold_is_not_the_gather(self, monkeypatch,
+                                                  variant):
+        # the known folds of classification lie on both sides of the test
+        # fold, so adding a class's terms fold by fold changes their order
+        # and, under a D^-1 or D^-1/2 scale, some last bits: the test above
+        # would catch a harness that sums so
+        h = random_hypergraph(600, 40, 6000, seed=0)
+        labels = np.random.default_rng(0).integers(0, 4, h.n_nodes)
+        monkeypatch.setattr(evaluation, "_BLOCK_BYTES", 8 * h.n_nodes * 3)
+        spec = layout_spec("classification", "propagation", variant)
+        units = unit_seeds(h, labels, spec, monkeypatch)
+        class_of = np.unique(labels, return_inverse=True)[1]
+        folds = assign_folds(h.n_nodes, spec.n_folds, spec.seed).folds
+        differ = 0
+        for fold, block, _, _, kwargs in units:
+            seed_x = known_seed(folds, class_of, fold, block, "classification")
+            for col in range(len(block)):
+                nodes = np.flatnonzero(seed_x[:, col])
+                got = kwargs["edge_means"][:, col]
+                assert np.array_equal(summed_in_order(h, nodes, variant), got)
+                by_fold = nodes[np.argsort(folds[nodes], kind="stable")]
+                differ += not np.array_equal(
+                    summed_in_order(h, by_fold, variant), got)
+        assert differ > 0
+
+
 class TestCountedMemory:
-    """The counted first edge averages of ``row`` and ``alpha`` cost each
-    unit its own classes' counts, however many classes the run has."""
+    """The counted first edge averages cost each unit its own classes'
+    counts, however many classes the run has."""
 
     @pytest.mark.parametrize("task", ["classification", "retrieval"])
-    @pytest.mark.parametrize("variant", ["row", "alpha"])
+    @pytest.mark.parametrize("variant", VARIANTS)
     def test_peak_does_not_grow_with_classes_times_edges(self, monkeypatch,
                                                          task, variant):
         h = random_hypergraph(2000, 8000, 16000, seed=0)

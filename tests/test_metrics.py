@@ -123,6 +123,11 @@ class TestPrecisionAtK:
             precision_at_k([], [], 5)
         with pytest.raises(ValueError):
             precision_at_k([1.0], [1], 0)
+        # 2.5 was numpy's TypeError, and True read as 1
+        for k in (2.5, 2.0, True, "2"):
+            with pytest.raises(ValueError, match="integer"):
+                precision_at_k([1.0, 0.0], [1, 0], k)
+        assert precision_at_k([1.0, 0.0], [1, 0], np.int32(1)) == 1.0
         with pytest.raises(ValueError):
             roc_auc([np.nan, 1.0], [1, 0])
 

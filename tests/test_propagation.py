@@ -12,7 +12,7 @@ from hyperprop import (VARIANTS, InvalidConfigError, PropagationConfig,
 
 import oracles
 from util import (bernoulli_hypergraph, ordinary_graph, random_hypergraph,
-                  random_signal)
+                  random_signal, scaled_before_gather)
 
 
 @pytest.fixture
@@ -293,8 +293,9 @@ class TestProperties:
             assert np.array_equal(batch[:, j], propagate(h, x[:, j], cfg))
 
     @PROPERTY
-    @given(case=cases(variants=["row", "alpha"]), data=st.data())
+    @given(case=cases(), data=st.data())
     def test_given_edge_means_equal_the_gather(self, case, data):
+        # edge_means= is B^-1 H^T S x, S the variant's scale before it
         h, x, cfg = case
         if data.draw(st.booleans()):
             x = x[:, 0]
@@ -302,8 +303,9 @@ class TestProperties:
             x = x.astype(bool)  # a seed, as the harness passes it
         nodes = data.draw(st.one_of(
             st.none(), st.lists(st.integers(0, h.n_nodes - 1), max_size=8)))
+        means = edge_average(h, scaled_before_gather(h, x, cfg.variant))
         assert np.array_equal(
-            propagate(h, x, cfg, nodes=nodes, edge_means=edge_average(h, x)),
+            propagate(h, x, cfg, nodes=nodes, edge_means=means),
             propagate(h, x, cfg, nodes=nodes))
 
 
@@ -326,14 +328,7 @@ class TestHGNN:
 
 class TestEdgeMeans:
     """``propagate(..., edge_means=)`` takes the first layer's
-    ``B^-1 H^T x``."""
-
-    @pytest.mark.parametrize("variant", ["column", "symmetric"])
-    def test_rejected_where_the_gather_is_scaled(self, chain, variant):
-        x = np.array([1.0, 0.0, 0.0])
-        with pytest.raises(InvalidConfigError):
-            propagate(chain, x, PropagationConfig(variant=variant),
-                      edge_means=edge_average(chain, x))
+    ``B^-1 H^T S x``, ``S`` the variant's scale before the gather."""
 
     @pytest.mark.parametrize("means", [np.zeros(3), np.zeros((2, 1)),
                                        np.zeros((2, 2, 1)), [0.5]])
@@ -358,19 +353,21 @@ class TestEdgeMeans:
                         PropagationConfig(), edge_means=[[0.5], [0.0]])
         np.testing.assert_array_equal(out, [[0.5], [0.25], [0.0]])
 
+    @pytest.mark.parametrize("variant", ["row", "column", "symmetric"])
     @pytest.mark.parametrize("nodes", [None, [5, 0, 299, 5, 17]])
     @pytest.mark.parametrize("ndim", [1, 2])
     @pytest.mark.parametrize("layers", [1, 3])
-    def test_row_takes_a_placeholder_for_x(self, ndim, nodes, layers):
-        # the harness passes a zero-byte read-only view, not a seed
+    def test_takes_a_placeholder_for_x(self, ndim, nodes, layers, variant):
+        # the harness passes a zero-byte read-only view, not a seed, to
+        # every variant but alpha
         h = random_hypergraph(300, 60, 1500, seed=0)
         x = np.random.default_rng(0).random((h.n_nodes, 4)) < 0.3
         x = x[:, 0] if ndim == 1 else x
-        cfg = PropagationConfig(layers=layers)
+        cfg = PropagationConfig(variant=variant, layers=layers)
         placeholder = np.broadcast_to(np.False_, x.shape)
         assert not placeholder.flags.writeable
-        got = propagate(h, placeholder, cfg, nodes=nodes,
-                        edge_means=edge_average(h, x))
+        means = edge_average(h, scaled_before_gather(h, x, variant))
+        got = propagate(h, placeholder, cfg, nodes=nodes, edge_means=means)
         assert np.array_equal(got, propagate(h, x, cfg, nodes=nodes))
 
     @pytest.mark.parametrize("shape", [(301, 4), (299, 4), (300, 3), (300,),
@@ -535,7 +532,8 @@ class TestMemory:
     @pytest.mark.parametrize("variant,bound,given_means", [
         ("row", 1.5, False), ("column", 1.5, False),
         ("symmetric", 1.5, False), ("alpha", 2.5, False),
-        ("row", 1.5, True), ("alpha", 2.5, True)])
+        ("row", 1.5, True), ("column", 1.5, True), ("symmetric", 1.5, True),
+        ("alpha", 2.5, True)])
     def test_peak_is_one_node_matrix(self, variant, bound, given_means,
                                      dtype):
         h = random_hypergraph(4000, 400, 20000, seed=0)

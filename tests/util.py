@@ -97,3 +97,16 @@ def random_hypergraph(n_nodes: int, n_edges: int, nnz: int, seed: int) -> Hyperg
         extras = rng.choice(extras, size=need, replace=False)
     keys = np.concatenate([base, extras])
     return Hypergraph(keys // n_edges, keys % n_edges, n_nodes, n_edges)
+
+
+def scaled_before_gather(h: Hypergraph, x, variant: str) -> np.ndarray:
+    """``S x``, ``S`` the degree scale ``variant`` applies before its first
+    gather, so ``edge_average(h, scaled_before_gather(h, x, variant))`` is
+    the ``edge_means=`` of ``propagate``; written out here, not read from
+    the engine's table."""
+    x = np.asarray(x)
+    scale = {"column": h.inv_node_degree,
+             "symmetric": h.inv_sqrt_node_degree}.get(variant)
+    if scale is None:
+        return x
+    return (scale[:, 0] if x.ndim == 1 else scale) * x
